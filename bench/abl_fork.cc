@@ -68,6 +68,7 @@ int main(int argc, char** argv) {
   using namespace o1mem;
   BenchJson json("abl_fork", argc, argv);
   InitBenchObs(argc, argv);
+  RejectUnknownFlags(argc, argv);
   Table table(
       "Ablation: fork() cost vs resident size -- baseline COW fork (O(pages)) vs FOM "
       "share-on-fork (O(mappings))");
@@ -91,23 +92,7 @@ int main(int argc, char** argv) {
   MaybePrintCsv(table);
   json.AddTable(table);
 
-  for (const Row& row : rows) {
-    const std::string label = SizeLabel(row.size);
-    benchmark::RegisterBenchmark(("abl_fork/baseline/" + label).c_str(),
-                                 [us = row.baseline.fork_us](benchmark::State& s) {
-                                   ReportManualTime(s, us);
-                                 })
-        ->UseManualTime();
-    benchmark::RegisterBenchmark(("abl_fork/fom/" + label).c_str(),
-                                 [us = row.fom.fork_us](benchmark::State& s) {
-                                   ReportManualTime(s, us);
-                                 })
-        ->UseManualTime();
-  }
   RecordOccupancy(json);
   json.Write();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

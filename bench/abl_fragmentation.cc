@@ -155,6 +155,7 @@ int main(int argc, char** argv) {
   using namespace o1mem;
   BenchJson json("abl_fragmentation", argc, argv);
   InitBenchObs(argc, argv);
+  RejectUnknownFlags(argc, argv);
 
   // CMA first, GCMA second: the occupancy snapshot in the JSON (last writer
   // wins) then shows the guaranteed mode's area accounting.
@@ -200,23 +201,7 @@ int main(int argc, char** argv) {
   json.Metric("cma_p99_us", cma.back().Percentile(99));
   json.Metric("cma_success_rate", cn > 0 ? cok / cn : 0);
 
-  for (size_t i = 0; i < gcma.size(); ++i) {
-    const std::string label = SizeLabel(gcma[i].size);
-    benchmark::RegisterBenchmark(("abl_fragmentation/gcma/" + label).c_str(),
-                                 [us = gcma[i].Percentile(99)](benchmark::State& s) {
-                                   ReportManualTime(s, us);
-                                 })
-        ->UseManualTime();
-    benchmark::RegisterBenchmark(("abl_fragmentation/cma/" + label).c_str(),
-                                 [us = cma[i].Percentile(99)](benchmark::State& s) {
-                                   ReportManualTime(s, us);
-                                 })
-        ->UseManualTime();
-  }
   RecordOccupancy(json);
   json.Write();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

@@ -113,6 +113,7 @@ int main(int argc, char** argv) {
   using namespace o1mem;
   BenchJson json("abl_hugepages", argc, argv);
   InitBenchObs(argc, argv);
+  RejectUnknownFlags(argc, argv);
   constexpr uint64_t kBytes = 512 * kMiB;
   const TouchCosts small = MeasureBaseline(kBytes, false);
   const TouchCosts large = MeasureBaseline(kBytes, true);
@@ -144,25 +145,7 @@ int main(int argc, char** argv) {
   MaybePrintCsv(swap_table);
   json.AddTable(swap_table);
 
-  benchmark::RegisterBenchmark("abl_hugepages/populate_4k",
-                               [us = small.populate_us](benchmark::State& s) {
-                                 ReportManualTime(s, us);
-                               })
-      ->UseManualTime();
-  benchmark::RegisterBenchmark("abl_hugepages/populate_2m",
-                               [us = large.populate_us](benchmark::State& s) {
-                                 ReportManualTime(s, us);
-                               })
-      ->UseManualTime();
-  benchmark::RegisterBenchmark("abl_hugepages/populate_fom",
-                               [us = fom.populate_us](benchmark::State& s) {
-                                 ReportManualTime(s, us);
-                               })
-      ->UseManualTime();
   RecordOccupancy(json);
   json.Write();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

@@ -181,6 +181,7 @@ int main(int argc, char** argv) {
   BenchJson json("abl_malloc_wcet", argc, argv);
   InitBenchObs(argc, argv);
   const auto workers_flag = ExtractFlag(argc, argv, "workers");
+  RejectUnknownFlags(argc, argv);
   const int workers = workers_flag.has_value() ? std::atoi(workers_flag->c_str()) : 1;
   O1_CHECK(workers >= 1);
   json.Config("workers", static_cast<double>(workers));
@@ -203,8 +204,5 @@ int main(int argc, char** argv) {
 
   RecordOccupancy(json);
   json.Write();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

@@ -59,6 +59,7 @@ int main(int argc, char** argv) {
   using namespace o1mem;
   BenchJson json("abl_metadata", argc, argv);
   InitBenchObs(argc, argv);
+  RejectUnknownFlags(argc, argv);
   Table table(
       "Ablation: metadata to manage M bytes -- per-page struct page vs FOM per-file "
       "(64 files)");
@@ -84,18 +85,7 @@ int main(int argc, char** argv) {
       64.0 * (6.0 * 1024 * 1024 * 1024 * 1024 / 4096) / (1024 * 1024 * 1024),
       rows.back().struct_page_init_us / 1000.0 * (6.0 * kTiB / static_cast<double>(rows.back().dram)));
 
-  for (const Row& row : rows) {
-    const std::string label = SizeLabel(row.dram);
-    benchmark::RegisterBenchmark(("abl_metadata/memmap_init/" + label).c_str(),
-                                 [us = row.struct_page_init_us](benchmark::State& s) {
-                                   ReportManualTime(s, us);
-                                 })
-        ->UseManualTime();
-  }
   RecordOccupancy(json);
   json.Write();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

@@ -1,6 +1,6 @@
 // Ablation: overload robustness -- open-loop arrival vs the protection stack.
 //
-// The closed-loop chaos driver (one arrival per completion) cannot overload
+// The closed-loop chaos client (one arrival per tick) cannot overload
 // anything: it self-throttles exactly when the service slows down. This
 // bench drives the sharded KV service with *open-loop* Poisson arrivals at
 // 0.5x-3x of service capacity (shards * slots_per_tick per tick) and
@@ -70,7 +70,8 @@ ShardServiceConfig ServiceConfig(double factor, bool protected_mode,
   }
   if (!campaign_spec.empty()) {
     const std::string spec =
-        campaign_spec == "default" ? DefaultCampaignSpec(config.ops) : campaign_spec;
+        campaign_spec == "default" ? DefaultCampaignSpec(config.arrival.HorizonTicks(config.ops))
+                                   : campaign_spec;
     auto chaos = ParseCampaign(spec, seed);
     O1_CHECK(chaos.ok());
     config.chaos = *chaos;
@@ -134,6 +135,7 @@ int main(int argc, char** argv) {
   if (auto s = ExtractFlag(argc, argv, "chaos-seed")) {
     chaos_seed = std::strtoull(s->c_str(), nullptr, 10);
   }
+  RejectUnknownFlags(argc, argv);
   json.Config("campaign", campaign_spec.empty() ? "off" : campaign_spec);
   json.Config("chaos_seed", static_cast<double>(chaos_seed));
 
@@ -216,18 +218,7 @@ int main(int argc, char** argv) {
       peak.goodput_ratio, naive_peak.goodput_ratio, peak.p99_admitted_us,
       nominal.p99_admitted_us, peak.shed_rate * 100.0, peak.window_a, peak.window_b);
 
-  for (const Point& p : points) {
-    benchmark::RegisterBenchmark(
-        ("abl_overload/" + std::string(p.protected_mode ? "protected" : "naive") + "/x" +
-         Table::Num(p.factor))
-            .c_str(),
-        [ratio = p.goodput_ratio](benchmark::State& s) { ReportManualTime(s, ratio); })
-        ->UseManualTime();
-  }
   RecordOccupancy(json);
   json.Write();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

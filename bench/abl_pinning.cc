@@ -95,6 +95,7 @@ int main(int argc, char** argv) {
   using namespace o1mem;
   BenchJson json("abl_pinning", argc, argv);
   InitBenchObs(argc, argv);
+  RejectUnknownFlags(argc, argv);
   Table table("Ablation: pin a DMA buffer -- per-page mlock vs FOM implicit pinning");
   table.AddRow({"size", "baseline mlock us", "fom pin us", "speedup"});
   struct Row {
@@ -130,36 +131,7 @@ int main(int argc, char** argv) {
   json.Metric("churn_baseline_pin_us", churn_rows.back().baseline);
   json.Metric("churn_contig_pin_us", churn_rows.back().fom);
 
-  for (const Row& row : rows) {
-    const std::string label = SizeLabel(row.size);
-    benchmark::RegisterBenchmark(("abl_pinning/baseline/" + label).c_str(),
-                                 [us = row.baseline](benchmark::State& s) {
-                                   ReportManualTime(s, us);
-                                 })
-        ->UseManualTime();
-    benchmark::RegisterBenchmark(("abl_pinning/fom/" + label).c_str(),
-                                 [us = row.fom](benchmark::State& s) {
-                                   ReportManualTime(s, us);
-                                 })
-        ->UseManualTime();
-  }
-  for (const Row& row : churn_rows) {
-    const std::string label = SizeLabel(row.size);
-    benchmark::RegisterBenchmark(("abl_pinning/churn_baseline/" + label).c_str(),
-                                 [us = row.baseline](benchmark::State& s) {
-                                   ReportManualTime(s, us);
-                                 })
-        ->UseManualTime();
-    benchmark::RegisterBenchmark(("abl_pinning/churn_contig/" + label).c_str(),
-                                 [us = row.fom](benchmark::State& s) {
-                                   ReportManualTime(s, us);
-                                 })
-        ->UseManualTime();
-  }
   RecordOccupancy(json);
   json.Write();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

@@ -110,6 +110,7 @@ int main(int argc, char** argv) {
   using namespace o1mem;
   BenchJson json("abl_reclaim", argc, argv);
   InitBenchObs(argc, argv);
+  RejectUnknownFlags(argc, argv);
   Table table(
       "Ablation: reclaim half of W resident bytes -- page scanning + swap (clock/2Q) vs "
       "FOM file deletion (simulated)");
@@ -156,23 +157,7 @@ int main(int argc, char** argv) {
   MaybePrintCsv(traffic);
   json.AddTable(traffic);
 
-  for (const Row& row : rows) {
-    const std::string label = SizeLabel(row.size);
-    benchmark::RegisterBenchmark(("abl_reclaim/clock/" + label).c_str(),
-                                 [us = row.clock.us](benchmark::State& s) {
-                                   ReportManualTime(s, us);
-                                 })
-        ->UseManualTime();
-    benchmark::RegisterBenchmark(("abl_reclaim/fom/" + label).c_str(),
-                                 [us = row.fom.us](benchmark::State& s) {
-                                   ReportManualTime(s, us);
-                                 })
-        ->UseManualTime();
-  }
   RecordOccupancy(json);
   json.Write();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

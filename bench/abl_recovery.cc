@@ -168,6 +168,7 @@ int main(int argc, char** argv) {
   using namespace o1mem;
   BenchJson json("abl_recovery", argc, argv);
   InitBenchObs(argc, argv);
+  RejectUnknownFlags(argc, argv);
 
   Table by_journal("Ablation: recovery and online scrub latency vs journal length "
                    "(8 files, simulated us)");
@@ -218,22 +219,7 @@ int main(int argc, char** argv) {
       "\nReplay is linear in journal records; scrub adds a fixed full-region media "
       "patrol, so it dominates at short journals and amortizes at long ones.\n");
 
-  for (const Row& row : journal_rows) {
-    benchmark::RegisterBenchmark(
-        ("abl_recovery/journal/" + std::to_string(row.x)).c_str(),
-        [us = row.recover_us](benchmark::State& s) { ReportManualTime(s, us); })
-        ->UseManualTime();
-  }
-  for (const Row& row : file_rows) {
-    benchmark::RegisterBenchmark(
-        ("abl_recovery/files/" + std::to_string(row.x)).c_str(),
-        [us = row.recover_us](benchmark::State& s) { ReportManualTime(s, us); })
-        ->UseManualTime();
-  }
   RecordOccupancy(json);
   json.Write();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

@@ -165,6 +165,7 @@ int main(int argc, char** argv) {
   using namespace o1mem;
   BenchJson json("abl_runtime", argc, argv);
   InitBenchObs(argc, argv);
+  RejectUnknownFlags(argc, argv);
   Table frees("Ablation: free N 96-byte objects -- per-object free vs O(1) arena reset");
   frees.AddRow({"objects", "per-object free us", "arena reset us", "ratio"});
   HostAgg host_free;
@@ -215,8 +216,5 @@ int main(int argc, char** argv) {
 
   RecordOccupancy(json);
   json.Write();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

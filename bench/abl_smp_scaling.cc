@@ -168,6 +168,7 @@ int main(int argc, char** argv) {
   using namespace o1mem;
   BenchJson json("abl_smp_scaling", argc, argv);
   InitBenchObs(argc, argv);
+  RejectUnknownFlags(argc, argv);
   const std::vector<int> cpu_counts = {1, 2, 4, 8, 16};
   json.Config("region_bytes", static_cast<double>(RegionBytes()));
 
@@ -236,16 +237,7 @@ int main(int argc, char** argv) {
   json.Metric("deterministic", 1.0);
   json.HostRegion("touch", HostTouch().ops, HostTouch().secs);
 
-  for (const auto& [cpus, fast] : touch_rows) {
-    benchmark::RegisterBenchmark(
-        ("abl_smp_scaling/touch_pcp/" + std::to_string(cpus) + "cpu").c_str(),
-        [us = fast.us_per_op](benchmark::State& s) { ReportManualTime(s, us); })
-        ->UseManualTime();
-  }
   RecordOccupancy(json);
   json.Write();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

@@ -202,6 +202,7 @@ int main(int argc, char** argv) {
   using namespace o1mem;
   BenchJson json("abl_tiering", argc, argv);
   InitBenchObs(argc, argv);
+  RejectUnknownFlags(argc, argv);
 
   Table conv(
       "Tiering convergence: hot-extent access vs pure DRAM / NVM home under zipf "
@@ -272,25 +273,7 @@ int main(int argc, char** argv) {
                 return worst;
               }());
 
-  for (const ConvRow& row : conv_rows) {
-    const std::string label =
-        SizeLabel(row.cache) + "/zipf" + Table::Num(row.theta);
-    benchmark::RegisterBenchmark(("abl_tiering/hot_access/" + label).c_str(),
-                                 [ns = row.c.hot_ns](benchmark::State& s) {
-                                   ReportManualTime(s, ns * 1e-3);
-                                 })
-        ->UseManualTime();
-  }
-  for (const OverRow& row : over_rows) {
-    benchmark::RegisterBenchmark(
-        ("abl_tiering/overhead/" + SizeLabel(row.size)).c_str(),
-        [us = row.o.total_per_op / 2000.0](benchmark::State& s) { ReportManualTime(s, us); })
-        ->UseManualTime();
-  }
   RecordOccupancy(json);
   json.Write();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

@@ -76,6 +76,7 @@ int main(int argc, char** argv) {
   using namespace o1mem;
   BenchJson json("abl_virt_walks", argc, argv);
   InitBenchObs(argc, argv);
+  RejectUnknownFlags(argc, argv);
   const WalkCosts native4 = MeasurePageWalks(4, false);
   const WalkCosts native5 = MeasurePageWalks(5, false);
   const WalkCosts virt4 = MeasurePageWalks(4, true);
@@ -103,19 +104,7 @@ int main(int argc, char** argv) {
   MaybePrintCsv(table);
   json.AddTable(table);
 
-  benchmark::RegisterBenchmark("abl_virt/native4", [&](benchmark::State& s) {
-    ReportManualTime(s, native4.ns_per_access * 1e-3);
-  })->UseManualTime();
-  benchmark::RegisterBenchmark("abl_virt/virt5", [&](benchmark::State& s) {
-    ReportManualTime(s, virt5.ns_per_access * 1e-3);
-  })->UseManualTime();
-  benchmark::RegisterBenchmark("abl_virt/range", [&](benchmark::State& s) {
-    ReportManualTime(s, range.ns_per_access * 1e-3);
-  })->UseManualTime();
   RecordOccupancy(json);
   json.Write();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

@@ -101,6 +101,7 @@ int main(int argc, char** argv) {
   using namespace o1mem;
   BenchJson json("abl_zeroing", argc, argv);
   InitBenchObs(argc, argv);
+  RejectUnknownFlags(argc, argv);
   Table table(
       "Ablation: eager zeroing vs zero-epoch (O(1) erase) on recycled NVM blocks "
       "(simulated us)");
@@ -149,23 +150,7 @@ int main(int argc, char** argv) {
   MaybePrintCsv(anon);
   json.AddTable(anon);
 
-  for (const Row& row : rows) {
-    const std::string label = SizeLabel(row.size);
-    benchmark::RegisterBenchmark(("abl_zeroing/eager_alloc/" + label).c_str(),
-                                 [us = row.eager.alloc_us](benchmark::State& s) {
-                                   ReportManualTime(s, us);
-                                 })
-        ->UseManualTime();
-    benchmark::RegisterBenchmark(("abl_zeroing/epoch_alloc/" + label).c_str(),
-                                 [us = row.epoch.alloc_us](benchmark::State& s) {
-                                   ReportManualTime(s, us);
-                                 })
-        ->UseManualTime();
-  }
   RecordOccupancy(json);
   json.Write();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

@@ -293,14 +293,6 @@ ChaosMetrics RunChaosService(int shards, const std::string& campaign_spec,
   service_config.shard_bytes = BenchSmall() ? 4 * kMiB : 32 * kMiB;
   service_config.ops = BenchSmall() ? 4000 : static_cast<uint64_t>(kOps);
   service_config.tier_tick_every = tier ? 1024 : 0;
-  if (!campaign_spec.empty()) {
-    const std::string spec = campaign_spec == "default"
-                                 ? DefaultCampaignSpec(service_config.ops)
-                                 : campaign_spec;
-    auto chaos = ParseCampaign(spec, seed);
-    O1_CHECK(chaos.ok());
-    service_config.chaos = *chaos;
-  }
   if (!arrival_spec.empty()) {
     // Open-loop overload mode with the full protection stack (admission,
     // retry budget, breakers, brownout).
@@ -308,6 +300,15 @@ ChaosMetrics RunChaosService(int shards, const std::string& campaign_spec,
     O1_CHECK(arrival.ok());
     service_config.arrival = *arrival;
     service_config.overload = OverloadConfig::Protected();
+  }
+  if (!campaign_spec.empty()) {
+    const std::string spec =
+        campaign_spec == "default"
+            ? DefaultCampaignSpec(service_config.arrival.HorizonTicks(service_config.ops))
+            : campaign_spec;
+    auto chaos = ParseCampaign(spec, seed);
+    O1_CHECK(chaos.ok());
+    service_config.chaos = *chaos;
   }
 
   SimTimer timer(sys);  // drains obs + occupancy into the bench-wide state
@@ -338,10 +339,14 @@ int ChaosMain(BenchJson& json, int shards, const std::string& campaign_spec,
   const ChaosMetrics m = RunChaosService(shards, campaign_spec, arrival_spec, seed, tier);
   const ShardServiceReport& r = m.report;
 
-  // The service guarantees graceful degradation: every arrival is eventually
-  // served (zero lost) and every get returned current data.
+  // The service guarantees graceful degradation: no request is lost, every
+  // get returned current data, and the closed-loop client (no --arrival)
+  // gives up on no arrival -- only open-loop overload may shed cleanly.
   O1_CHECK(r.ops_lost == 0);
   O1_CHECK(r.verify_failures == 0);
+  if (arrival_spec.empty()) {
+    O1_CHECK(r.overload.rejected_final == 0);
+  }
 
   Table table("Chaos serving: " + std::to_string(shards) +
               " shards, deadline+retry clients, watchdog recovery (simulated us)");
@@ -411,7 +416,7 @@ int ChaosMain(BenchJson& json, int shards, const std::string& campaign_spec,
   MaybePrintCsv(ttable);
   json.AddTable(ttable);
 
-  if (r.overload.enabled) {
+  if (!arrival_spec.empty()) {
     const OverloadReport& ov = r.overload;
     Table otable("Overload serving: per-shard admission/breaker/brownout (open loop " +
                  std::to_string(static_cast<int>(ov.capacity_per_tick)) + " slots/tick)");
@@ -529,13 +534,10 @@ int main(int argc, char** argv) {
     chaos_seed = std::strtoull(s->c_str(), nullptr, 10);
   }
   const bool chaos_log = ExtractBoolFlag(argc, argv, "chaos-log");
+  RejectUnknownFlags(argc, argv);
   if (shards > 0 || !campaign_spec.empty() || !arrival_spec.empty()) {
-    const int rc = ChaosMain(json, shards > 0 ? shards : 4, campaign_spec, arrival_spec,
-                             chaos_seed, tier, chaos_log);
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    return rc;
+    return ChaosMain(json, shards > 0 ? shards : 4, campaign_spec, arrival_spec, chaos_seed,
+                     tier, chaos_log);
   }
   json.Config("workers", static_cast<double>(workers));
   json.Config("tier", tier ? "on" : "off");
@@ -566,8 +568,5 @@ int main(int argc, char** argv) {
 
   RecordOccupancy(json);
   json.Write();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

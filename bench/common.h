@@ -4,14 +4,11 @@
 //   * measurement functions return *simulated* microseconds (the Machine's
 //     cycle clock converted at the configured frequency) -- deterministic,
 //     host-independent;
-//   * main() prints the paper's series as an aligned table (plus CSV when
-//     O1MEM_BENCH_CSV is set), then hands remaining flags to
-//     google-benchmark, whose registered counterparts report the same
-//     measurements via manual timing.
+//   * main() extracts its flags (bench/json_out.h), rejects any it does not
+//     know, prints the paper's series as an aligned table (plus CSV when
+//     O1MEM_BENCH_CSV is set), and writes them to --json=<path>.
 #ifndef O1MEM_BENCH_COMMON_H_
 #define O1MEM_BENCH_COMMON_H_
-
-#include <benchmark/benchmark.h>
 
 #include <cstdlib>
 #include <functional>
@@ -85,8 +82,8 @@ inline BenchObsState& BenchObs() {
 }
 
 // Call first in main (before BenchConfig() is used): pulls --trace=<path>
-// out of argv -- google-benchmark aborts on flags it does not know -- and
-// arms the trace ring for every System built via BenchConfig().
+// out of argv and arms the trace ring for every System built via
+// BenchConfig().
 inline void InitBenchObs(int& argc, char** argv) {
   BenchObs().trace_path = ExtractFlag(argc, argv, "trace");
 }
@@ -245,15 +242,6 @@ class SimTimer {
   System& sys_;
   uint64_t start_;
 };
-
-// Registers a google-benchmark that reports `us` (already measured,
-// deterministic) as manual time. Keeps the gbench output consistent with
-// the printed tables without re-simulating inside the timing loop.
-inline void ReportManualTime(benchmark::State& state, double us) {
-  for (auto _ : state) {
-    state.SetIterationTime(us * 1e-6);
-  }
-}
 
 inline void MaybePrintCsv(const Table& table) {
   if (std::getenv("O1MEM_BENCH_CSV") != nullptr) {

@@ -57,27 +57,6 @@ std::vector<Row> RunSweep() {
   return rows;
 }
 
-void RegisterGbench(const std::vector<Row>& rows) {
-  for (const Row& row : rows) {
-    const std::string label = SizeLabel(row.size);
-    benchmark::RegisterBenchmark(("fig1a/tmpfs_demand/" + label).c_str(),
-                                 [us = row.tmpfs_demand](benchmark::State& s) {
-                                   ReportManualTime(s, us);
-                                 })
-        ->UseManualTime();
-    benchmark::RegisterBenchmark(("fig1a/tmpfs_populate/" + label).c_str(),
-                                 [us = row.tmpfs_populate](benchmark::State& s) {
-                                   ReportManualTime(s, us);
-                                 })
-        ->UseManualTime();
-    benchmark::RegisterBenchmark(("fig1a/fom_range/" + label).c_str(),
-                                 [us = row.fom_range](benchmark::State& s) {
-                                   ReportManualTime(s, us);
-                                 })
-        ->UseManualTime();
-  }
-}
-
 }  // namespace
 }  // namespace o1mem
 
@@ -85,6 +64,7 @@ int main(int argc, char** argv) {
   using namespace o1mem;
   BenchJson json("fig1a_mmap_cost", argc, argv);
   InitBenchObs(argc, argv);
+  RejectUnknownFlags(argc, argv);
   const std::vector<Row> rows = RunSweep();
   Table table(
       "Figure 1a/6a: mmap() cost vs file size (simulated us; paper: demand flat, populate "
@@ -101,11 +81,7 @@ int main(int argc, char** argv) {
   MaybePrintCsv(table);
   json.AddTable(table);
 
-  RegisterGbench(rows);
   RecordOccupancy(json);
   json.Write();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

@@ -67,6 +67,7 @@ int main(int argc, char** argv) {
   using namespace o1mem;
   BenchJson json("fig1b_touch_pages", argc, argv);
   InitBenchObs(argc, argv);
+  RejectUnknownFlags(argc, argv);
   std::vector<Row> rows;
   for (uint64_t size : FileSizeSweep()) {
     rows.push_back(Row{.size = size,
@@ -91,28 +92,7 @@ int main(int argc, char** argv) {
   MaybePrintCsv(table);
   json.AddTable(table);
 
-  for (const Row& row : rows) {
-    const std::string label = SizeLabel(row.size);
-    benchmark::RegisterBenchmark(("fig1b/demand_read/" + label).c_str(),
-                                 [us = row.demand.us](benchmark::State& s) {
-                                   ReportManualTime(s, us);
-                                 })
-        ->UseManualTime();
-    benchmark::RegisterBenchmark(("fig1b/populate_read/" + label).c_str(),
-                                 [us = row.populate.us](benchmark::State& s) {
-                                   ReportManualTime(s, us);
-                                 })
-        ->UseManualTime();
-    benchmark::RegisterBenchmark(("fig1b/fom_read/" + label).c_str(),
-                                 [us = row.fom.us](benchmark::State& s) {
-                                   ReportManualTime(s, us);
-                                 })
-        ->UseManualTime();
-  }
   RecordOccupancy(json);
   json.Write();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

@@ -30,6 +30,7 @@ int main(int argc, char** argv) {
   using namespace o1mem;
   BenchJson json("fig3_shared_mappings", argc, argv);
   InitBenchObs(argc, argv);
+  RejectUnknownFlags(argc, argv);
   const std::vector<int> proc_counts = {1, 2, 4, 8, 16, 32};
   std::vector<Row> rows;
 
@@ -116,23 +117,7 @@ int main(int argc, char** argv) {
   MaybePrintCsv(table);
   json.AddTable(table);
 
-  for (const Row& row : rows) {
-    const std::string label = "P" + std::to_string(row.procs);
-    benchmark::RegisterBenchmark(("fig3/baseline_map/" + label).c_str(),
-                                 [us = row.baseline_us](benchmark::State& s) {
-                                   ReportManualTime(s, us);
-                                 })
-        ->UseManualTime();
-    benchmark::RegisterBenchmark(("fig3/fom_splice_map/" + label).c_str(),
-                                 [us = row.fom_us](benchmark::State& s) {
-                                   ReportManualTime(s, us);
-                                 })
-        ->UseManualTime();
-  }
   RecordOccupancy(json);
   json.Write();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

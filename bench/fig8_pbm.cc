@@ -107,6 +107,7 @@ int main(int argc, char** argv) {
   using namespace o1mem;
   BenchJson json("fig8_pbm", argc, argv);
   InitBenchObs(argc, argv);
+  RejectUnknownFlags(argc, argv);
   std::vector<Row> rows;
   for (int procs : {1, 2, 4, 8, 16}) {
     rows.push_back(RunOne(procs, /*files=*/16));
@@ -127,23 +128,7 @@ int main(int argc, char** argv) {
   MaybePrintCsv(table);
   json.AddTable(table);
 
-  for (const Row& row : rows) {
-    const std::string label = "P" + std::to_string(row.procs);
-    benchmark::RegisterBenchmark(("fig8/pbm_map/" + label).c_str(),
-                                 [us = row.pbm_map_us_total](benchmark::State& s) {
-                                   ReportManualTime(s, us);
-                                 })
-        ->UseManualTime();
-    benchmark::RegisterBenchmark(("fig8/regular_map/" + label).c_str(),
-                                 [us = row.regular_map_us_total](benchmark::State& s) {
-                                   ReportManualTime(s, us);
-                                 })
-        ->UseManualTime();
-  }
   RecordOccupancy(json);
   json.Write();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

@@ -82,6 +82,7 @@ int main(int argc, char** argv) {
   using namespace o1mem;
   BenchJson json("fig9_range_translation", argc, argv);
   InitBenchObs(argc, argv);
+  RejectUnknownFlags(argc, argv);
 
   Table ops(
       "Figure 9 (part 1): map/protect/unmap cost vs size (simulated us) -- per-page vs "
@@ -124,23 +125,7 @@ int main(int argc, char** argv) {
   MaybePrintCsv(access);
   json.AddTable(access);
 
-  for (const OpRow& row : op_rows) {
-    const std::string label = SizeLabel(row.size);
-    benchmark::RegisterBenchmark(("fig9/map_perpage/" + label).c_str(),
-                                 [us = row.perpage.map_us](benchmark::State& s) {
-                                   ReportManualTime(s, us);
-                                 })
-        ->UseManualTime();
-    benchmark::RegisterBenchmark(("fig9/map_range/" + label).c_str(),
-                                 [us = row.range.map_us](benchmark::State& s) {
-                                   ReportManualTime(s, us);
-                                 })
-        ->UseManualTime();
-  }
   RecordOccupancy(json);
   json.Write();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

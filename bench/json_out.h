@@ -6,8 +6,9 @@
 //    "config": {...},                      // knobs the run used
 //    "metrics": {..., "tables": [...]}}    // scalars + every printed table
 //
-// The flag is extracted from argv before google-benchmark sees it (gbench
-// aborts on unknown flags). bench/run_all.sh collects one file per binary.
+// Flags are pulled out of argv with ExtractFlag/ExtractBoolFlag; once main
+// has extracted every flag it knows, RejectUnknownFlags refuses the rest.
+// bench/run_all.sh collects one file per binary.
 #ifndef O1MEM_BENCH_JSON_OUT_H_
 #define O1MEM_BENCH_JSON_OUT_H_
 
@@ -53,6 +54,18 @@ inline bool ExtractBoolFlag(int& argc, char** argv, const std::string& name) {
     }
   }
   return false;
+}
+
+// Call once every known flag has been extracted: any argument left over (an
+// unknown flag, or a typo such as --arival=) is named on stderr and the
+// bench exits 2 instead of quietly running its default mode.
+inline void RejectUnknownFlags(int argc, char** argv) {
+  for (int i = 1; i < argc; ++i) {
+    std::fprintf(stderr, "%s: unknown argument '%s'\n", argv[0], argv[i]);
+  }
+  if (argc > 1) {
+    std::exit(2);
+  }
 }
 
 inline std::string JsonEscape(const std::string& s) {

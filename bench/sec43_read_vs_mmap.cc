@@ -90,6 +90,7 @@ int main(int argc, char** argv) {
   using namespace o1mem;
   BenchJson json("sec43_read_vs_mmap", argc, argv);
   InitBenchObs(argc, argv);
+  RejectUnknownFlags(argc, argv);
   const double read_us = ReadSyscallUs();
   const double chased_us = MappedChasedUs();
   const double streaming_us = MappedStreamingUs();
@@ -110,23 +111,7 @@ int main(int argc, char** argv) {
               chased_us > read_us ? "REPRODUCED" : "NOT reproduced", read_us,
               chased_us > read_us ? "beats" : "does not beat", chased_us);
 
-  benchmark::RegisterBenchmark("sec43/read_syscall",
-                               [read_us](benchmark::State& s) { ReportManualTime(s, read_us); })
-      ->UseManualTime();
-  benchmark::RegisterBenchmark("sec43/mapped_chased",
-                               [chased_us](benchmark::State& s) {
-                                 ReportManualTime(s, chased_us);
-                               })
-      ->UseManualTime();
-  benchmark::RegisterBenchmark("sec43/mapped_streaming",
-                               [streaming_us](benchmark::State& s) {
-                                 ReportManualTime(s, streaming_us);
-                               })
-      ->UseManualTime();
   RecordOccupancy(json);
   json.Write();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

@@ -20,6 +20,9 @@
 // extends to load. The op-class mix (read / write / scan) is drawn per
 // arrival by the service from its workload Rng, so per-class offered rates
 // are rate * class fraction.
+//
+// A disabled config is the closed-loop client: exactly one arrival per tick
+// (mean rate 1), and the process draws nothing from its Rng.
 #ifndef O1MEM_SRC_CHAOS_ARRIVAL_H_
 #define O1MEM_SRC_CHAOS_ARRIVAL_H_
 
@@ -32,7 +35,7 @@
 namespace o1mem {
 
 struct ArrivalConfig {
-  bool enabled = false;
+  bool enabled = false;  // false = one arrival per tick (closed loop)
   enum class Kind { kPoisson, kBurst, kRamp } kind = Kind::kPoisson;
   double rate = 1.0;         // poisson rate; burst high-phase rate
   uint64_t burst_ticks = 0;  // burst: high-phase (= quiet-phase) length
@@ -47,12 +50,21 @@ struct ArrivalConfig {
 
   // Mean arrivals per tick (for horizon/backstop math).
   double MeanRate() const {
+    if (!enabled) {
+      return 1.0;
+    }
     switch (kind) {
       case Kind::kPoisson: return rate;
       case Kind::kBurst: return rate / 2.0;
       case Kind::kRamp: return (ramp_lo + ramp_hi) / 2.0;
     }
     return rate;
+  }
+
+  // Ticks the arrivals of an `ops` budget span at the mean rate: the run
+  // horizon a fault campaign is scheduled against (= ops when disabled).
+  uint64_t HorizonTicks(uint64_t ops) const {
+    return static_cast<uint64_t>(static_cast<double>(ops) / MeanRate());
   }
 };
 

@@ -84,7 +84,8 @@ Result<ChaosConfig> ParseCampaign(std::string_view spec, uint64_t seed);
 
 // The canned campaign CI runs: one kill, one watchdog-length hang, one
 // sticky poison, and periodic transient poison, all scaled to a run of
-// `ticks` ticks.
+// `ticks` ticks. Pass the arrival horizon (ArrivalConfig::HorizonTicks), not
+// the op count: an open-loop run at rate r spans ops / r ticks.
 std::string DefaultCampaignSpec(uint64_t ticks);
 
 class CampaignEngine {
@@ -112,13 +113,13 @@ class CampaignEngine {
   uint64_t firings() const { return firings_; }
 
  private:
-  struct Pending {
+  struct Scheduled {
     ChaosAction action;
     uint64_t next_tick;
     bool done = false;
   };
 
-  std::vector<Pending> pending_;
+  std::vector<Scheduled> schedule_;
   int num_shards_;
   Rng rng_;
   std::string log_;

@@ -28,7 +28,11 @@ ShardedKvService::ShardedKvService(System& sys, const ShardServiceConfig& config
       workload_rng_(config.workload_seed),
       retry_rng_(config.chaos.seed ^ 0x9e3779b97f4a7c15ULL),
       trace_rng_(config.workload_seed ^ 0x0ddc0ffeebadf00dULL),
-      zipf_(client_version_.size(), config.zipf_theta) {
+      zipf_(client_version_.size(), config.zipf_theta),
+      // One arrival stream per run, seeded independently of the chaos seed so
+      // (arrival spec, campaign, seed) each govern their own random stream.
+      arrival_(config.arrival, config.ops, config.workload_seed ^ 0xa5c1d34b9e77f210ULL),
+      retry_budget_(config.overload.retry_budget) {
   O1_CHECK(config.shards > 0);
   O1_CHECK(config.record_bytes >= kLineBytes);
   O1_CHECK(config.shard_bytes % config.record_bytes == 0);
@@ -38,20 +42,13 @@ ShardedKvService::ShardedKvService(System& sys, const ShardServiceConfig& config
   num_cpus_ = sys_.machine().config().smp.num_cpus;
   shard_latency_.resize(static_cast<size_t>(config_.shards));
   shard_slowest_.resize(static_cast<size_t>(config_.shards));
-  if (config_.arrival.enabled) {
-    // One arrival stream per run, seeded independently of the chaos seed so
-    // (arrival spec, campaign, seed) each govern their own random stream.
-    arrival_ = std::make_unique<ArrivalProcess>(config_.arrival, config_.ops,
-                                                config_.workload_seed ^ 0xa5c1d34b9e77f210ULL);
-    retry_budget_ = std::make_unique<RetryBudget>(config_.overload.retry_budget);
-    for (int i = 0; i < config_.shards; ++i) {
-      queues_.emplace_back(config_.overload.admission, config_.overload.slots_per_tick);
-      breakers_.emplace_back(config_.overload.breaker);
-      brownouts_.emplace_back(config_.overload.brownout);
-    }
-    pressure_.resize(static_cast<size_t>(config_.shards));
-    report_.overload.per_shard.resize(static_cast<size_t>(config_.shards));
+  for (int i = 0; i < config_.shards; ++i) {
+    queues_.emplace_back(config_.overload.admission, config_.overload.slots_per_tick);
+    breakers_.emplace_back(config_.overload.breaker);
+    brownouts_.emplace_back(config_.overload.brownout);
   }
+  pressure_.resize(static_cast<size_t>(config_.shards));
+  report_.overload.per_shard.resize(static_cast<size_t>(config_.shards));
 }
 
 void ShardedKvService::BringUp(int index) {
@@ -172,15 +169,25 @@ void ShardedKvService::ApplyFiring(const ChaosFiring& firing, uint64_t tick) {
   }
 }
 
-Status ShardedKvService::ServeOnce(Shard& shard, const Request& req) {
+Status ShardedKvService::ServeOnce(Shard& shard, uint64_t key, OpClass cls) {
+  if (cls == OpClass::kScan) {
+    // Scan: scan_records consecutive records of this shard (stride = shards
+    // in key space keeps every touched key on the same shard), wrapping.
+    for (uint64_t j = 0; j < config_.arrival.scan_records; ++j) {
+      const uint64_t record =
+          (key + j * static_cast<uint64_t>(config_.shards)) % client_version_.size();
+      O1_RETURN_IF_ERROR(ServeOnce(shard, record, OpClass::kRead));
+    }
+    return OkStatus();
+  }
   ObsSpan span(sys_.ctx(), TraceKind::kServiceOp, kLineBytes);
-  const Vaddr addr = shard.base + Offset(req.key);
+  const Vaddr addr = shard.base + Offset(key);
   uint8_t line[kLineBytes];
-  if (req.is_put) {
-    EncodeRecord(line, client_version_[req.key] + 1, req.key);
+  if (cls == OpClass::kWrite) {
+    EncodeRecord(line, client_version_[key] + 1, key);
     O1_RETURN_IF_ERROR(sys_.UserWrite(*shard.proc, addr, line));
     O1_RETURN_IF_ERROR(sys_.UserFlush(*shard.proc, addr, kLineBytes));
-    client_version_[req.key]++;
+    client_version_[key]++;
     return OkStatus();
   }
   Status read = sys_.UserRead(*shard.proc, addr, line);
@@ -189,19 +196,19 @@ Status ShardedKvService::ServeOnce(Shard& shard, const Request& req) {
     // record by rewriting it. Transient poison heals on the overwrite;
     // sticky poison keeps failing reads, but the op still succeeds from the
     // client copy either way.
-    EncodeRecord(line, client_version_[req.key], req.key);
+    EncodeRecord(line, client_version_[key], key);
     O1_RETURN_IF_ERROR(sys_.UserWrite(*shard.proc, addr, line));
     O1_RETURN_IF_ERROR(sys_.UserFlush(*shard.proc, addr, kLineBytes));
     report_.media_repairs++;
     return OkStatus();
   }
   O1_RETURN_IF_ERROR(read);
-  if (config_.verify && client_version_[req.key] != 0) {
+  if (config_.verify && client_version_[key] != 0) {
     uint64_t version = 0;
-    uint64_t key = 0;
+    uint64_t stored_key = 0;
     std::memcpy(&version, line, sizeof(version));
-    std::memcpy(&key, line + sizeof(version), sizeof(key));
-    if (version != client_version_[req.key] || key != req.key) {
+    std::memcpy(&stored_key, line + sizeof(version), sizeof(stored_key));
+    if (version != client_version_[key] || stored_key != key) {
       report_.verify_failures++;
     }
   }
@@ -224,14 +231,32 @@ void ShardedKvService::ClosePark(uint64_t& park_cycles, uint64_t& acc_cycles, ui
   park_cycles = 0;
 }
 
-void ShardedKvService::FinishRequest(TraceKind kind, int shard, uint64_t trace_id,
-                                     uint64_t first_arrival_cycles, uint64_t wait_cycles,
-                                     uint64_t backoff_cycles, uint64_t serve_cycles) {
-  const uint64_t latency = sys_.ctx().now() - first_arrival_cycles;
+uint64_t ShardedKvService::ServeAndComplete(int index, Request& req) {
+  Shard& shard = shards_[static_cast<size_t>(index)];
+  sys_.ctx().SetCurrentCpu(index % num_cpus_);
+  const uint64_t serve_start = sys_.ctx().now();
+  {
+    // The whole service op -- spans from ServeOnce down through faults,
+    // shootdowns, tier hits, and journal commits -- joins the span tree.
+    TraceScope scope(sys_.ctx().obs(), req.trace_id, &req.next_span);
+    Status s = ServeOnce(shard, req.key, req.cls);
+    O1_CHECK(s.ok());  // media errors are absorbed inside ServeOnce
+  }
+  req.serve_cycles += sys_.ctx().now() - serve_start;
+  sys_.ctx().SetCurrentCpu(0);
+  report_.ops_ok++;
+  const uint64_t latency = sys_.ctx().now() - req.first_arrival_cycles;
+  if (req.attempts > 1) {
+    report_.disrupted.Record(latency);
+  } else if (FaultActive()) {
+    report_.recovery.Record(latency);
+  } else {
+    report_.nominal.Record(latency);
+  }
   report_.all_latency.Record(latency);
-  shard_latency_[static_cast<size_t>(shard)].Record(latency);
-  auto& pool = shard_slowest_[static_cast<size_t>(shard)];
-  const TailSample sample{latency, wait_cycles, backoff_cycles, serve_cycles};
+  shard_latency_[static_cast<size_t>(index)].Record(latency);
+  auto& pool = shard_slowest_[static_cast<size_t>(index)];
+  const TailSample sample{latency, req.wait_cycles, req.backoff_cycles, req.serve_cycles};
   if (pool.size() < kTailSamplesPerShard) {
     pool.push_back(sample);
   } else {
@@ -247,8 +272,24 @@ void ShardedKvService::FinishRequest(TraceKind kind, int shard, uint64_t trace_i
   }
   Observer* obs = sys_.ctx().obs();
   if (obs != nullptr) {
-    obs->EndRequest(kind, 0, first_arrival_cycles, latency, kLineBytes, trace_id);
+    const TraceKind kind = req.cls == OpClass::kScan    ? TraceKind::kKvScan
+                           : req.cls == OpClass::kWrite ? TraceKind::kKvPut
+                                                        : TraceKind::kKvGet;
+    obs->EndRequest(kind, 0, req.first_arrival_cycles, latency, kLineBytes, req.trace_id);
   }
+  if (shard.awaiting_first_serve) {
+    shard.awaiting_first_serve = false;
+    const double ttfs = sys_.ctx().clock().CyclesToUs(sys_.ctx().now() - shard.down_cycles);
+    // Fill the newest recovery event covering this shard (per-shard or
+    // whole-machine).
+    for (auto it = report_.recoveries.rbegin(); it != report_.recoveries.rend(); ++it) {
+      if ((it->shard == index || it->shard == -1) && it->time_to_first_served_us == 0) {
+        it->time_to_first_served_us = ttfs;
+        break;
+      }
+    }
+  }
+  return latency;
 }
 
 void ShardedKvService::FinalizeTail() {
@@ -322,7 +363,7 @@ void ShardedKvService::FinalizeTail() {
 }
 
 void ShardedKvService::PushTickMetric(uint64_t tick, uint64_t queue_depth,
-                                      uint64_t pending_retries, uint32_t arrivals) {
+                                      uint64_t backoff_retries, uint32_t arrivals) {
   Observer* obs = sys_.ctx().obs();
   if (obs == nullptr || !obs->metrics_enabled()) {
     return;
@@ -331,7 +372,7 @@ void ShardedKvService::PushTickMetric(uint64_t tick, uint64_t queue_depth,
   m.tick = tick;
   m.cycles = sys_.ctx().now();
   m.queue_depth = static_cast<uint32_t>(queue_depth);
-  m.pending_retries = static_cast<uint32_t>(pending_retries);
+  m.backoff_retries = static_cast<uint32_t>(backoff_retries);
   int max_level = 0;
   for (const BrownoutController& b : brownouts_) {
     max_level = std::max(max_level, b.level());
@@ -354,74 +395,6 @@ void ShardedKvService::PushTickMetric(uint64_t tick, uint64_t queue_depth,
   m.arrivals = static_cast<uint16_t>(std::min<uint32_t>(arrivals, 0xffffu));
   m.tier_promoted_bytes = sys_.tier() != nullptr ? sys_.tier()->promoted_bytes() : 0;
   obs->PushMetric(m);
-}
-
-bool ShardedKvService::AttemptRequest(Request& req, uint64_t tick) {
-  const int index = static_cast<int>(req.key % static_cast<uint64_t>(config_.shards));
-  Shard& shard = shards_[static_cast<size_t>(index)];
-  req.attempts++;
-  // A re-attempt closes the backoff window it waited out (and records it as
-  // a retry_wait child span of the request's root).
-  ClosePark(req.park_cycles, req.backoff_cycles, req.trace_id, req.next_span,
-            TraceKind::kRetryWait);
-  bool served = false;
-  if (shard.state == ShardState::kUp) {
-    sys_.ctx().SetCurrentCpu(index % num_cpus_);
-    const uint64_t serve_start = sys_.ctx().now();
-    {
-      // Everything ServeOnce does -- the service_op span, faults, shootdowns,
-      // journal commits -- joins the request's span tree.
-      TraceScope scope(sys_.ctx().obs(), req.trace_id, &req.next_span);
-      Status s = ServeOnce(shard, req);
-      O1_CHECK(s.ok());  // media errors are absorbed inside ServeOnce
-    }
-    req.serve_cycles += sys_.ctx().now() - serve_start;
-    sys_.ctx().SetCurrentCpu(0);
-    served = true;
-  } else if (shard.state == ShardState::kHung) {
-    report_.timeouts++;
-  }
-  if (served) {
-    report_.ops_ok++;
-    const uint64_t latency = sys_.ctx().now() - req.arrival_cycles;
-    if (req.attempts > 1) {
-      report_.disrupted.Record(latency);
-    } else if (FaultActive()) {
-      report_.recovery.Record(latency);
-    } else {
-      report_.nominal.Record(latency);
-    }
-    FinishRequest(req.is_put ? TraceKind::kKvPut : TraceKind::kKvGet, index, req.trace_id,
-                  req.arrival_cycles, req.wait_cycles, req.backoff_cycles, req.serve_cycles);
-    if (shard.awaiting_first_serve) {
-      shard.awaiting_first_serve = false;
-      const double ttfs = sys_.ctx().clock().CyclesToUs(sys_.ctx().now() - shard.down_cycles);
-      // Fill the newest recovery event covering this shard (per-shard or
-      // whole-machine).
-      for (auto it = report_.recoveries.rbegin(); it != report_.recoveries.rend(); ++it) {
-        if ((it->shard == index || it->shard == -1) && it->time_to_first_served_us == 0) {
-          it->time_to_first_served_us = ttfs;
-          break;
-        }
-      }
-    }
-    return true;
-  }
-  // Failed attempt: hung shards cost the client its deadline before it gives
-  // up; a known-dead shard fails fast.
-  if (req.attempts >= config_.retry.max_attempts) {
-    report_.ops_lost++;
-    if (sys_.ctx().obs() != nullptr) {
-      sys_.ctx().obs()->DropRequest(req.trace_id);  // lost: no root span
-    }
-    return true;
-  }
-  report_.retries++;
-  const uint64_t wait = (shard.state == ShardState::kHung ? config_.deadline_ticks : 0) +
-                        config_.retry.BackoffTicks(req.attempts, retry_rng_);
-  req.due_tick = tick + wait;
-  req.park_cycles = sys_.ctx().now();  // backoff window opens
-  return false;
 }
 
 void ShardedKvService::RecoverShard(int index, uint64_t tick, const char* cause) {
@@ -453,11 +426,9 @@ void ShardedKvService::RecoverShard(int index, uint64_t tick, const char* cause)
 
 void ShardedKvService::MachineCrashRecover(uint64_t tick) {
   report_.machine_crashes++;
-  if (arrival_ != nullptr) {
-    // In-flight queued requests die with the machine; clients retry.
-    for (int i = 0; i < config_.shards; ++i) {
-      FailQueued(i, tick);
-    }
+  // In-flight queued requests die with the machine; clients retry.
+  for (int i = 0; i < config_.shards; ++i) {
+    FailQueued(i, tick);
   }
   const uint64_t down_cycles = sys_.ctx().now();
   uint64_t down_tick_min = tick;
@@ -523,128 +494,7 @@ void ShardedKvService::MachineCrashRecover(uint64_t tick) {
   report_.recoveries.push_back(event);
 }
 
-ShardServiceReport ShardedKvService::Run() {
-  if (config_.arrival.enabled) {
-    return RunOpenLoop();
-  }
-  const uint64_t run_start = sys_.ctx().now();
-  SetupShards();
-  FaultInjector& injector = sys_.machine().fault_injector();
-  uint64_t next_arrival = 0;
-  uint64_t tick = 0;
-  // Generous runaway guard: every request resolves within max_attempts
-  // backoffs, so the queue must drain well before this.
-  const uint64_t max_ticks =
-      config_.ops + 1000 + static_cast<uint64_t>(config_.retry.max_attempts) *
-                               (config_.retry.max_delay_ticks + config_.deadline_ticks) * 64;
-  for (;; ++tick) {
-    O1_CHECK(tick < max_ticks);
-    sys_.ctx().Charge(config_.tick_cycles);
-    if (campaign_ != nullptr) {
-      for (const ChaosFiring& firing : campaign_->Poll(tick)) {
-        ApplyFiring(firing, tick);
-      }
-      // An armed torn-write/flush crash trips mid-op; the power actually
-      // fails at the next tick boundary.
-      if (injector.triggered()) {
-        campaign_->Note("t=" + std::to_string(tick) + " armed crash tripped");
-        MachineCrashRecover(tick);
-      }
-    }
-    // Hang expiry before the watchdog check: a shard whose hang was shorter
-    // than the watchdog allowance resumes beating and is never killed.
-    for (int i = 0; i < config_.shards; ++i) {
-      Shard& shard = shards_[static_cast<size_t>(i)];
-      if (shard.state == ShardState::kHung && tick >= shard.hang_until) {
-        shard.state = ShardState::kUp;
-        shard.awaiting_first_serve = false;
-        shard.dog.Beat(tick);
-        LogNote("t=" + std::to_string(tick) + " unhang shard=" + std::to_string(i));
-      }
-      if (shard.state != ShardState::kUp && shard.dog.Expired(tick)) {
-        RecoverShard(i, tick, shard.down_cause);
-        report_.watchdog_kills++;
-      }
-    }
-    // Heartbeats from live shards.
-    if (tick % config_.heartbeat_interval_ticks == 0) {
-      for (Shard& shard : shards_) {
-        if (shard.state == ShardState::kUp) {
-          shard.dog.Beat(tick);
-        }
-      }
-    }
-    // Due retries, in arrival order.
-    for (size_t i = 0; i < pending_.size();) {
-      if (pending_[i].due_tick <= tick && AttemptRequest(pending_[i], tick)) {
-        pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
-      } else {
-        ++i;
-      }
-    }
-    // One new client arrival per tick.
-    uint32_t tick_arrivals = 0;
-    if (next_arrival < config_.ops) {
-      Request req;
-      req.key = zipf_.Next(workload_rng_);
-      req.is_put = workload_rng_.NextBool(config_.write_fraction);
-      req.arrival_cycles = sys_.ctx().now();
-      req.trace_id = trace_rng_.Next() | 1;  // always drawn: obs-independent
-      if (sys_.ctx().obs() != nullptr) {
-        sys_.ctx().obs()->BeginRequest(req.trace_id);
-      }
-      report_.ops_attempted++;
-      next_arrival++;
-      tick_arrivals = 1;
-      if (!AttemptRequest(req, tick)) {
-        pending_.push_back(req);
-      }
-    }
-    PushTickMetric(tick, /*queue_depth=*/0, pending_.size(), tick_arrivals);
-    if (config_.tier_tick_every != 0 && sys_.tier() != nullptr &&
-        tick % config_.tier_tick_every == config_.tier_tick_every - 1) {
-      O1_CHECK(sys_.TierTick().ok());
-    }
-    if (injector.triggered()) {
-      // Tripped during this tick's ops (outside the campaign poll above).
-      LogNote("t=" + std::to_string(tick) + " armed crash tripped");
-      MachineCrashRecover(tick);
-    }
-    if (next_arrival >= config_.ops && pending_.empty()) {
-      // Drain: a shard recovered after the last client arrival would wait
-      // forever for its first serve. Health-check probes (one get of the
-      // shard's record 0) resolve time-to-first-served deterministically.
-      for (int i = 0; i < config_.shards; ++i) {
-        Shard& shard = shards_[static_cast<size_t>(i)];
-        if (shard.state == ShardState::kUp && shard.awaiting_first_serve) {
-          Request probe;
-          probe.key = static_cast<uint64_t>(i);  // key i routes to shard i
-          probe.arrival_cycles = sys_.ctx().now();
-          probe.trace_id = trace_rng_.Next() | 1;
-          if (sys_.ctx().obs() != nullptr) {
-            sys_.ctx().obs()->BeginRequest(probe.trace_id);
-          }
-          report_.ops_attempted++;
-          AttemptRequest(probe, tick);
-        }
-      }
-      if (!FaultActive()) {
-        break;
-      }
-    }
-  }
-  report_.ticks = tick + 1;
-  report_.run_us = sys_.ctx().clock().CyclesToUs(sys_.ctx().now() - run_start);
-  report_.degraded_reads = sys_.ctx().counters().degraded_reads;
-  report_.poison_quarantines = sys_.ctx().counters().poison_quarantines;
-  if (campaign_ != nullptr) {
-    report_.chaos_log = campaign_->LogString();
-  }
-  FinalizeTail();
-  return report_;
-}
-
-// --- open-loop overload mode -----------------------------------------------
+// --- request pipeline ------------------------------------------------------
 
 void ShardedKvService::NoteBreakerTransitions(int index, uint64_t transitions_before,
                                               uint64_t tick) {
@@ -660,20 +510,20 @@ void ShardedKvService::NoteBreakerTransitions(int index, uint64_t transitions_be
           CircuitBreaker::StateName(breaker.state()));
 }
 
-void ShardedKvService::ClientRetryOrReject(OpenRequest req, uint64_t tick,
+void ShardedKvService::ClientRetryOrReject(Request req, uint64_t tick,
                                            uint64_t extra_wait_ticks) {
   OverloadReport& ov = report_.overload;
   if (req.attempts >= config_.retry.max_attempts) {
     // Every attempt got a clean, immediate rejection or a bounded timeout;
-    // the client ends with a 503, not a lost ack -- ops_lost stays for real
-    // losses (none in overload mode; campaigns keep asserting zero).
+    // the client gives up with a 503, not a lost ack. Closed-loop campaigns
+    // assert this never happens.
     ov.rejected_final++;
     if (sys_.ctx().obs() != nullptr) {
       sys_.ctx().obs()->DropRequest(req.trace_id);  // clean 503: no root span
     }
     return;
   }
-  if (!retry_budget_->TryConsume()) {
+  if (!retry_budget_.TryConsume()) {
     ov.retry_budget_denials++;
     sys_.ctx().counters().retry_budget_denials++;
     ov.rejected_final++;
@@ -687,10 +537,10 @@ void ShardedKvService::ClientRetryOrReject(OpenRequest req, uint64_t tick,
   req.due_tick = tick + extra_wait_ticks +
                  config_.retry.BackoffTicks(req.attempts - 1, retry_rng_);
   req.park_cycles = sys_.ctx().now();  // backoff window opens
-  open_pending_.push_back(req);
+  backoff_.push_back(req);
 }
 
-void ShardedKvService::OfferRequest(OpenRequest req, uint64_t tick) {
+void ShardedKvService::OfferRequest(Request req, uint64_t tick) {
   const int index = static_cast<int>(req.key % static_cast<uint64_t>(config_.shards));
   Shard& shard = shards_[static_cast<size_t>(index)];
   OverloadReport& ov = report_.overload;
@@ -742,15 +592,15 @@ void ShardedKvService::OfferRequest(OpenRequest req, uint64_t tick) {
     return;
   }
 
-  AdmissionQueue<OpenRequest>& q = queues_[static_cast<size_t>(index)];
+  AdmissionQueue<Request>& q = queues_[static_cast<size_t>(index)];
   req.arrival_tick = tick;
   req.park_cycles = sys_.ctx().now();  // queue-wait window opens if admitted
   switch (q.Offer(req, tick, tick + config_.deadline_ticks)) {
-    case AdmissionQueue<OpenRequest>::Verdict::kAdmit:
+    case AdmissionQueue<Request>::Verdict::kAdmit:
       st.admitted++;
       ov.admitted++;
       return;
-    case AdmissionQueue<OpenRequest>::Verdict::kShedDeadline:
+    case AdmissionQueue<Request>::Verdict::kShedDeadline:
       st.shed_deadline++;
       pressure.sheds++;
       ov.sheds++;
@@ -758,7 +608,7 @@ void ShardedKvService::OfferRequest(OpenRequest req, uint64_t tick) {
       ObsInstant(sys_.ctx(), TraceKind::kAdmissionShed, req.key);
       ClientRetryOrReject(req, tick, 0);
       return;
-    case AdmissionQueue<OpenRequest>::Verdict::kShedOverflow:
+    case AdmissionQueue<Request>::Verdict::kShedOverflow:
       st.shed_overflow++;
       pressure.sheds++;
       ov.sheds++;
@@ -769,31 +619,13 @@ void ShardedKvService::OfferRequest(OpenRequest req, uint64_t tick) {
   }
 }
 
-Status ShardedKvService::ServeOpen(Shard& shard, const OpenRequest& req) {
-  if (req.cls != OpClass::kScan) {
-    Request one;
-    one.key = req.key;
-    one.is_put = (req.cls == OpClass::kWrite);
-    return ServeOnce(shard, one);
-  }
-  // Scan: scan_records consecutive records of this shard (stride = shards in
-  // key space keeps every touched key on the same shard), wrapping.
-  for (uint64_t j = 0; j < config_.arrival.scan_records; ++j) {
-    Request one;
-    one.key = (req.key + j * static_cast<uint64_t>(config_.shards)) % client_version_.size();
-    one.is_put = false;
-    O1_RETURN_IF_ERROR(ServeOnce(shard, one));
-  }
-  return OkStatus();
-}
-
 void ShardedKvService::FailQueued(int index, uint64_t tick) {
-  AdmissionQueue<OpenRequest>& q = queues_[static_cast<size_t>(index)];
+  AdmissionQueue<Request>& q = queues_[static_cast<size_t>(index)];
   OverloadReport& ov = report_.overload;
   ShardOverloadStats& st = ov.per_shard[static_cast<size_t>(index)];
   CircuitBreaker& breaker = breakers_[static_cast<size_t>(index)];
   while (!q.empty()) {
-    OpenRequest req = q.PopFront();
+    Request req = q.PopFront();
     st.failed_fast++;
     ClosePark(req.park_cycles, req.wait_cycles, req.trace_id, req.next_span,
               TraceKind::kAdmissionWait);
@@ -806,7 +638,7 @@ void ShardedKvService::FailQueued(int index, uint64_t tick) {
 
 void ShardedKvService::ServeTick(int index, uint64_t tick) {
   Shard& shard = shards_[static_cast<size_t>(index)];
-  AdmissionQueue<OpenRequest>& q = queues_[static_cast<size_t>(index)];
+  AdmissionQueue<Request>& q = queues_[static_cast<size_t>(index)];
   OverloadReport& ov = report_.overload;
   ShardOverloadStats& st = ov.per_shard[static_cast<size_t>(index)];
   CircuitBreaker& breaker = breakers_[static_cast<size_t>(index)];
@@ -814,7 +646,7 @@ void ShardedKvService::ServeTick(int index, uint64_t tick) {
   // Expire overdue heads first (clients time out in queue order): each one
   // is a real failure -- it burnt a full deadline -- so it feeds the breaker.
   while (!q.empty() && q.front().arrival_tick + config_.deadline_ticks <= tick) {
-    OpenRequest req = q.PopFront();
+    Request req = q.PopFront();
     ClosePark(req.park_cycles, req.wait_cycles, req.trace_id, req.next_span,
               TraceKind::kAdmissionWait);
     st.expired_in_queue++;
@@ -833,22 +665,12 @@ void ShardedKvService::ServeTick(int index, uint64_t tick) {
     return;
   }
   for (uint64_t slot = 0; slot < config_.overload.slots_per_tick && !q.empty(); ++slot) {
-    OpenRequest req = q.PopFront();
+    Request req = q.PopFront();
     const uint64_t wait_ticks = tick - req.arrival_tick;
     q.ObserveWait(static_cast<double>(wait_ticks));
     ClosePark(req.park_cycles, req.wait_cycles, req.trace_id, req.next_span,
               TraceKind::kAdmissionWait);
-    sys_.ctx().SetCurrentCpu(index % num_cpus_);
-    const uint64_t serve_start = sys_.ctx().now();
-    {
-      // The whole service op -- spans from ServeOnce down through faults,
-      // shootdowns, tier hits, and journal commits -- joins the span tree.
-      TraceScope scope(sys_.ctx().obs(), req.trace_id, &req.next_span);
-      Status s = ServeOpen(shard, req);
-      O1_CHECK(s.ok());  // media errors are absorbed inside ServeOnce
-    }
-    req.serve_cycles += sys_.ctx().now() - serve_start;
-    sys_.ctx().SetCurrentCpu(0);
+    const uint64_t latency = ServeAndComplete(index, req);
     st.served++;
     ov.served++;
     // Goodput is END-TO-END: the expiry loop above only bounds the wait
@@ -860,35 +682,11 @@ void ShardedKvService::ServeTick(int index, uint64_t tick) {
     if (req.cls == OpClass::kScan) {
       ov.scan_ops++;
     }
-    report_.ops_ok++;
-    const uint64_t latency = sys_.ctx().now() - req.first_arrival_cycles;
     ov.admitted_latency.Record(latency);
-    if (req.attempts > 1) {
-      report_.disrupted.Record(latency);
-    } else if (FaultActive()) {
-      report_.recovery.Record(latency);
-    } else {
-      report_.nominal.Record(latency);
-    }
-    const TraceKind root_kind = req.cls == OpClass::kScan  ? TraceKind::kKvScan
-                                : req.cls == OpClass::kWrite ? TraceKind::kKvPut
-                                                             : TraceKind::kKvGet;
-    FinishRequest(root_kind, index, req.trace_id, req.first_arrival_cycles, req.wait_cycles,
-                  req.backoff_cycles, req.serve_cycles);
-    retry_budget_->OnSuccess();
+    retry_budget_.OnSuccess();
     const uint64_t before = breaker.transitions();
     breaker.RecordSuccess(tick, wait_ticks);
     NoteBreakerTransitions(index, before, tick);
-    if (shard.awaiting_first_serve) {
-      shard.awaiting_first_serve = false;
-      const double ttfs = sys_.ctx().clock().CyclesToUs(sys_.ctx().now() - shard.down_cycles);
-      for (auto it = report_.recoveries.rbegin(); it != report_.recoveries.rend(); ++it) {
-        if ((it->shard == index || it->shard == -1) && it->time_to_first_served_us == 0) {
-          it->time_to_first_served_us = ttfs;
-          break;
-        }
-      }
-    }
   }
 }
 
@@ -901,7 +699,7 @@ double ShardedKvService::BrownoutSignal(int index) const {
   // 1.2x, ~0.5 at 2x, ~0.67 at 3x), so deeper overload climbs to higher
   // brownout levels while nominal load (rho <= 1: no standing queue, no
   // sheds) stays pinned near zero and restores quickly.
-  const AdmissionQueue<OpenRequest>& q = queues_[static_cast<size_t>(index)];
+  const AdmissionQueue<Request>& q = queues_[static_cast<size_t>(index)];
   const double target_depth =
       static_cast<double>(std::max<uint64_t>(1, config_.overload.admission.target_wait_ticks)) *
       static_cast<double>(std::max<uint64_t>(1, config_.overload.slots_per_tick));
@@ -949,12 +747,26 @@ void ShardedKvService::ApplyBrownoutLevels(uint64_t tick) {
   sys_.phys_manager().SetBrownout(max_level >= 2);
 }
 
-ShardServiceReport ShardedKvService::RunOpenLoop() {
+ShardedKvService::Request ShardedKvService::NewRequest(uint64_t key, OpClass cls,
+                                                      uint64_t tick) {
+  Request req;
+  req.key = key;
+  req.cls = cls;
+  req.first_arrival_cycles = sys_.ctx().now();
+  req.first_arrival_tick = tick;
+  req.trace_id = trace_rng_.Next() | 1;  // always drawn: obs-independent
+  if (sys_.ctx().obs() != nullptr) {
+    sys_.ctx().obs()->BeginRequest(req.trace_id);
+  }
+  report_.ops_attempted++;
+  return req;
+}
+
+ShardServiceReport ShardedKvService::Run() {
   const uint64_t run_start = sys_.ctx().now();
   SetupShards();
   FaultInjector& injector = sys_.machine().fault_injector();
   OverloadReport& ov = report_.overload;
-  ov.enabled = true;
   ov.capacity_per_tick = static_cast<double>(config_.shards) *
                          static_cast<double>(config_.overload.slots_per_tick);
 
@@ -986,6 +798,8 @@ ShardServiceReport ShardedKvService::RunOpenLoop() {
       for (const ChaosFiring& firing : campaign_->Poll(tick)) {
         ApplyFiring(firing, tick);
       }
+      // An armed torn-write/flush crash trips mid-op; the power actually
+      // fails at the next tick boundary.
       if (injector.triggered()) {
         campaign_->Note("t=" + std::to_string(tick) + " armed crash tripped");
         MachineCrashRecover(tick);
@@ -997,7 +811,8 @@ ShardServiceReport ShardedKvService::RunOpenLoop() {
         }
       }
     }
-    // Hang expiry before the watchdog check (see the closed-loop driver).
+    // Hang expiry before the watchdog check: a shard whose hang was shorter
+    // than the watchdog allowance resumes beating and is never killed.
     for (int i = 0; i < config_.shards; ++i) {
       Shard& shard = shards_[static_cast<size_t>(i)];
       if (shard.state == ShardState::kHung && tick >= shard.hang_until) {
@@ -1026,10 +841,10 @@ ShardServiceReport ShardedKvService::RunOpenLoop() {
     // Due client retries re-offer in arrival order. New backoffs pushed by
     // OfferRequest land at the back with due_tick > tick, so one pass is
     // exact.
-    for (size_t i = 0; i < open_pending_.size();) {
-      if (open_pending_[i].due_tick <= tick) {
-        OpenRequest req = open_pending_[i];
-        open_pending_.erase(open_pending_.begin() + static_cast<std::ptrdiff_t>(i));
+    for (size_t i = 0; i < backoff_.size();) {
+      if (backoff_[i].due_tick <= tick) {
+        Request req = backoff_[i];
+        backoff_.erase(backoff_.begin() + static_cast<std::ptrdiff_t>(i));
         ClosePark(req.park_cycles, req.backoff_cycles, req.trace_id, req.next_span,
                   TraceKind::kRetryWait);
         OfferRequest(req, tick);
@@ -1037,30 +852,20 @@ ShardServiceReport ShardedKvService::RunOpenLoop() {
         ++i;
       }
     }
-    // Open-loop arrivals: however many the process emits, whether or not
-    // the service kept up -- this is the loop the closed-loop driver closes.
-    const uint32_t arrivals = arrival_->ArrivalsAt(tick);
+    // New arrivals: one per tick in the closed loop, however many the
+    // process emits in the open loop, whether or not the service kept up.
+    const uint32_t arrivals = arrival_.ArrivalsAt(tick);
     for (uint32_t a = 0; a < arrivals; ++a) {
-      OpenRequest req;
-      req.key = zipf_.Next(workload_rng_);
+      const uint64_t key = zipf_.Next(workload_rng_);
+      OpClass cls = OpClass::kRead;
       if (config_.arrival.scan_fraction > 0 &&
           workload_rng_.NextBool(config_.arrival.scan_fraction)) {
-        req.cls = OpClass::kScan;
+        cls = OpClass::kScan;
       } else if (workload_rng_.NextBool(config_.write_fraction)) {
-        req.cls = OpClass::kWrite;
-      } else {
-        req.cls = OpClass::kRead;
+        cls = OpClass::kWrite;
       }
-      req.arrival_cycles = sys_.ctx().now();
-      req.first_arrival_cycles = req.arrival_cycles;
-      req.first_arrival_tick = tick;
-      req.trace_id = trace_rng_.Next() | 1;  // always drawn: obs-independent
-      if (sys_.ctx().obs() != nullptr) {
-        sys_.ctx().obs()->BeginRequest(req.trace_id);
-      }
-      report_.ops_attempted++;
       ov.arrivals++;
-      OfferRequest(req, tick);
+      OfferRequest(NewRequest(key, cls, tick), tick);
     }
     for (int i = 0; i < config_.shards; ++i) {
       ServeTick(i, tick);
@@ -1070,17 +875,18 @@ ShardServiceReport ShardedKvService::RunOpenLoop() {
       for (const auto& q : queues_) {
         metric_depth += q.depth();
       }
-      PushTickMetric(tick, metric_depth, open_pending_.size(), arrivals);
+      PushTickMetric(tick, metric_depth, backoff_.size(), arrivals);
     }
     if (config_.tier_tick_every != 0 && sys_.tier() != nullptr &&
         tick % config_.tier_tick_every == config_.tier_tick_every - 1) {
       O1_CHECK(sys_.TierTick().ok());
     }
     if (injector.triggered()) {
+      // Tripped during this tick's ops (outside the campaign poll above).
       LogNote("t=" + std::to_string(tick) + " armed crash tripped");
       MachineCrashRecover(tick);
     }
-    if (!arrival_->done()) {
+    if (!arrival_.done()) {
       uint64_t depth = 0;
       for (const auto& q : queues_) {
         depth += q.depth();
@@ -1096,7 +902,7 @@ ShardServiceReport ShardedKvService::RunOpenLoop() {
       }
       arrival_end_tick = tick + 1;
     }
-    if (arrival_->done() && open_pending_.empty()) {
+    if (arrival_.done() && backoff_.empty()) {
       bool queues_empty = true;
       for (const auto& q : queues_) {
         if (!q.empty()) {
@@ -1105,20 +911,15 @@ ShardServiceReport ShardedKvService::RunOpenLoop() {
         }
       }
       if (queues_empty) {
-        // Drain-phase health probes resolve time-to-first-served for shards
-        // recovered after the last arrival (see the closed-loop driver).
+        // Drain: a shard recovered after the last arrival would wait forever
+        // for its first serve. Health-check probes (one get of the shard's
+        // record 0; key i routes to shard i) resolve time-to-first-served
+        // deterministically.
         for (int i = 0; i < config_.shards; ++i) {
-          Shard& shard = shards_[static_cast<size_t>(i)];
+          const Shard& shard = shards_[static_cast<size_t>(i)];
           if (shard.state == ShardState::kUp && shard.awaiting_first_serve) {
-            Request probe;
-            probe.key = static_cast<uint64_t>(i);
-            probe.arrival_cycles = sys_.ctx().now();
-            probe.trace_id = trace_rng_.Next() | 1;
-            if (sys_.ctx().obs() != nullptr) {
-              sys_.ctx().obs()->BeginRequest(probe.trace_id);
-            }
-            report_.ops_attempted++;
-            AttemptRequest(probe, tick);
+            Request probe = NewRequest(static_cast<uint64_t>(i), OpClass::kRead, tick);
+            ServeAndComplete(i, probe);
           }
         }
         if (!FaultActive()) {
@@ -1128,6 +929,7 @@ ShardServiceReport ShardedKvService::RunOpenLoop() {
     }
   }
   report_.ticks = tick + 1;
+  report_.ops_lost = report_.ops_attempted - report_.ops_ok - ov.rejected_final;
   report_.run_us = sys_.ctx().clock().CyclesToUs(sys_.ctx().now() - run_start);
   report_.degraded_reads = sys_.ctx().counters().degraded_reads;
   report_.poison_quarantines = sys_.ctx().counters().poison_quarantines;

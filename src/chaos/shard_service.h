@@ -1,22 +1,38 @@
 // ShardedKvService: an N-shard KV service over FOM segments that keeps
-// serving through a chaos campaign -- the crash-kill-recover half of the
-// chaos subsystem (src/chaos/campaign.h schedules the faults; this applies
-// them and measures what the client sees).
+// serving through a chaos campaign and under overload -- the serving half of
+// the chaos subsystem (src/chaos/campaign.h schedules the faults; this
+// applies them and measures what the client sees).
 //
 // Shape: shard k is one FOM process serving a persistent segment
-// /srv/shard<k>; request keys route key % N. The driver is tick-based (one
-// client arrival per tick, a fixed cycle charge per tick so client-perceived
-// time advances even while a shard is dead):
+// /srv/shard<k>; request keys route key % N. One tick-based driver serves
+// every configuration. Each tick charges a fixed client-side cycle cost (so
+// client-perceived time advances even while a shard is dead), applies due
+// campaign firings, runs the supervisor (hang expiry, watchdog, heartbeats)
+// and the brownout ladder, then pushes due client retries and this tick's
+// new arrivals through the pipeline:
 //
-//   * every request carries a deadline; a request to a hung shard times out
-//     after deadline_ticks, a request to a dead shard fails fast; either way
-//     the client retries with capped exponential backoff + full jitter
-//     (src/chaos/retry.h, seeded -- deterministic), up to max_attempts; a
-//     request that exhausts its attempts is LOST, and campaigns assert zero;
+//   arrival -> circuit breaker -> brownout class shed -> admission queue
+//           -> ServeTick (expire overdue heads, serve slots_per_tick)
+//
+// ArrivalConfig decides how many arrivals a tick brings: exactly one when
+// it is disabled (the closed-loop client the chaos campaigns use), or a
+// seeded Poisson/burst/ramp count when enabled (open loop, arrival.h).
+// OverloadConfig decides what protects the pipeline; its default turns
+// admission, retry budget, breakers and brownout off, so the closed loop is
+// the same pipeline with every protection off.
+//
+//   * every request carries a deadline of deadline_ticks from its latest
+//     offer; a request queued at a hung shard expires at its deadline
+//     (a timeout), a request to a dead shard fails fast; either way the
+//     client retries with capped exponential backoff + full jitter
+//     (src/chaos/retry.h, seeded -- deterministic), up to max_attempts, and
+//     a request that exhausts them is rejected (rejected_final). Campaigns
+//     assert that no arrival was given up;
 //   * every shard heartbeats its watchdog (src/chaos/watchdog.h) each
-//     heartbeat interval; the supervisor kills and recovers a shard whose
-//     watchdog expires (missed_beats full intervals without a beat), while
-//     the other shards keep serving;
+//     heartbeat interval, out of band, so a saturated shard still beats; the
+//     supervisor kills and recovers a shard whose watchdog expires
+//     (missed_beats full intervals without a beat), while the other shards
+//     keep serving;
 //   * recovery = exit the zombie (if any), PMFS scrub (journal replay +
 //     media patrol), relaunch, remap -- each leg timed separately so the
 //     recovery SLO decomposes (detect / scrub / remap / first-served);
@@ -25,8 +41,8 @@
 //     heals on overwrite, sticky poison still serves the client copy -- so
 //     media faults degrade, never fail, a request;
 //   * whole-machine crashes (crash@T, torn write/flush triggers) take every
-//     shard down and recover them all through the normal journal-replay
-//     boot.
+//     shard down, fail queued requests back to their clients, and recover
+//     every shard through the normal journal-replay boot.
 //
 // Client-perceived latency (arrival to success, retries included) lands in
 // three histograms: nominal (no fault active), recovery (first-try ops
@@ -54,19 +70,18 @@
 
 namespace o1mem {
 
-// Overload-serving defaults (open-loop mode): per-shard bounded admission
-// queues, retry budgets, circuit breakers, and a brownout ladder. All three
-// engage only when ArrivalConfig.enabled is set; the closed-loop campaign
-// mode of PR 5 runs byte-identically when it is not.
+// Overload protection: per-shard bounded admission queues, retry budgets,
+// circuit breakers, and a brownout ladder. Each is off by default; the
+// pipeline runs (unbounded queues, unlimited retries) either way.
 struct OverloadConfig {
   AdmissionConfig admission;
   RetryBudgetConfig retry_budget;
   BreakerConfig breaker;
   BrownoutConfig brownout;
 
-  // Per-shard service capacity in requests per tick (open-loop mode only).
-  // Offered load / (shards * slots) is the load factor the abl_overload
-  // sweep reports against.
+  // Per-shard service capacity in requests per tick. Offered load /
+  // (shards * slots) is the load factor the abl_overload sweep reports
+  // against.
   uint64_t slots_per_tick = 4;
 
   // Everything on, standard shape: how abl_overload and --arrival runs
@@ -85,7 +100,7 @@ struct ShardServiceConfig {
   int shards = 4;
   uint64_t shard_bytes = 8 * kMiB;
   uint64_t record_bytes = 1024;
-  uint64_t ops = 20000;  // client arrivals (one per tick)
+  uint64_t ops = 20000;  // client arrivals (the arrival budget)
   double write_fraction = 0.3;
   double zipf_theta = 0.99;
   uint64_t workload_seed = 7;  // key/op mix; independent of the chaos seed
@@ -101,7 +116,7 @@ struct ShardServiceConfig {
 
   ChaosConfig chaos;
 
-  // Open-loop overload mode (default off => closed-loop PR 5 behavior).
+  // Arrivals per tick: one when disabled (closed loop), else open loop.
   ArrivalConfig arrival;
   OverloadConfig overload;
 };
@@ -119,7 +134,7 @@ struct RecoveryEvent {
   uint64_t replay_records = 0;         // journal records checked by the scrub
 };
 
-// Per-shard overload accounting (open-loop mode).
+// Per-shard overload accounting.
 struct ShardOverloadStats {
   uint64_t admitted = 0;
   uint64_t served = 0;
@@ -137,15 +152,14 @@ struct ShardOverloadStats {
   std::array<uint64_t, BrownoutController::kMaxLevel + 1> brownout_ticks{};
 };
 
-// Whole-run overload accounting (open-loop mode; zeroed in closed loop).
+// Whole-run pipeline accounting.
 struct OverloadReport {
-  bool enabled = false;
-  uint64_t arrivals = 0;           // open-loop arrivals generated
+  uint64_t arrivals = 0;           // arrivals generated
   uint64_t admitted = 0;           // accepted into some shard queue
   uint64_t served = 0;             // completed service
   uint64_t served_in_deadline = 0; // completed before the client deadline
   uint64_t sheds = 0;              // all admission-time rejections
-  uint64_t rejected_final = 0;     // sheds the client did not retry (clean 503)
+  uint64_t rejected_final = 0;     // requests the client gave up on (clean 503)
   uint64_t retry_budget_denials = 0;
   uint64_t scan_ops = 0;
   LatencyHistogram admitted_latency;  // arrival -> completion, admitted reqs
@@ -159,11 +173,15 @@ struct OverloadReport {
 };
 
 struct ShardServiceReport {
-  uint64_t ops_attempted = 0;  // client arrivals
+  uint64_t ops_attempted = 0;  // client arrivals plus drain-phase probes
   uint64_t ops_ok = 0;
-  uint64_t ops_lost = 0;  // exhausted retries (campaign asserts zero)
+  // Requests that ended neither served nor rejected: ops_attempted - ops_ok
+  // - overload.rejected_final. Zero unless the accounting lost a request;
+  // campaigns and perfbench/ assert it. Given-up arrivals are counted in
+  // overload.rejected_final instead.
+  uint64_t ops_lost = 0;
   uint64_t retries = 0;
-  uint64_t timeouts = 0;       // attempts that hit a hung shard
+  uint64_t timeouts = 0;       // requests that expired in a shard queue
   uint64_t media_repairs = 0;  // gets that re-wrote a poisoned record
   uint64_t verify_failures = 0;
 
@@ -199,10 +217,8 @@ class ShardedKvService {
   // (SMP, tier, persistence model). Shards serve on CPU shard % num_cpus.
   ShardedKvService(System& sys, const ShardServiceConfig& config);
 
-  // Builds the shards, runs the campaign to completion (all arrivals
-  // resolved, all shards back up), and reports. Call once. With
-  // config.arrival.enabled the run is open-loop (RunOpenLoop below);
-  // otherwise the closed-loop PR 5 driver runs unchanged.
+  // Builds the shards, runs the tick loop to completion (all arrivals
+  // resolved, all shards back up), and reports. Call once.
   ShardServiceReport Run();
 
  private:
@@ -224,28 +240,12 @@ class ShardedKvService {
         : dog(config.heartbeat_interval_ticks, config.missed_beats) {}
   };
 
-  struct Request {
-    uint64_t key = 0;
-    bool is_put = false;
-    int attempts = 0;
-    uint64_t arrival_cycles = 0;
-    uint64_t due_tick = 0;
-    // Causal tracing + blame accounting (see OpenRequest).
-    uint64_t trace_id = 0;
-    uint32_t next_span = 2;
-    uint64_t wait_cycles = 0;
-    uint64_t backoff_cycles = 0;
-    uint64_t serve_cycles = 0;
-    uint64_t park_cycles = 0;  // stamp of the current backoff start
-  };
-
-  // Open-loop request: op class, arrival stamp, client deadline.
+  // One client request: op class, arrival stamps, client deadline.
   enum class OpClass : uint8_t { kRead, kWrite, kScan };
-  struct OpenRequest {
+  struct Request {
     uint64_t key = 0;
     OpClass cls = OpClass::kRead;
     int attempts = 1;  // admission attempts (first offer included)
-    uint64_t arrival_cycles = 0;
     uint64_t arrival_tick = 0;   // of the *current* offer (deadline base)
     uint64_t first_arrival_cycles = 0;  // of the original arrival (latency base)
     uint64_t due_tick = 0;            // retry queue: earliest re-offer tick
@@ -259,7 +259,7 @@ class ShardedKvService {
     // Blame accounting (pure host-side bookkeeping, never charged cycles):
     // where this request's latency went, accumulated across attempts.
     uint64_t wait_cycles = 0;     // admission-queue time
-    uint64_t backoff_cycles = 0;  // client retry backoff (incl. hung deadline)
+    uint64_t backoff_cycles = 0;  // client retry backoff
     uint64_t serve_cycles = 0;    // actual service time
     uint64_t park_cycles = 0;     // stamp of the current queue/backoff start
   };
@@ -267,9 +267,8 @@ class ShardedKvService {
   void SetupShards();
   void ApplyFiring(const ChaosFiring& firing, uint64_t tick);
   void PoisonShard(int shard, bool sticky, bool dram_cache, uint64_t tick);
-  // True when the request is finished (served or lost); false = retry queued.
-  bool AttemptRequest(Request& req, uint64_t tick);
-  Status ServeOnce(Shard& shard, const Request& req);
+  // One get or put of `key`'s record, or a scan of scan_records records.
+  Status ServeOnce(Shard& shard, uint64_t key, OpClass cls);
   void RecoverShard(int index, uint64_t tick, const char* cause);
   void MachineCrashRecover(uint64_t tick);
   void LogNote(const std::string& line) {
@@ -280,19 +279,25 @@ class ShardedKvService {
   void BringUp(int index);  // launch + open + map (no timing)
   bool FaultActive() const;
 
-  // --- open-loop mode ------------------------------------------------------
-  ShardServiceReport RunOpenLoop();
+  // Stamps a new request (an arrival or a drain-phase probe), draws its
+  // trace id and counts it in ops_attempted.
+  Request NewRequest(uint64_t key, OpClass cls, uint64_t tick);
   // Routes one offer through breaker + brownout + admission. Sheds go back
   // to the client (retry budget permitting) or become clean rejections.
-  void OfferRequest(OpenRequest req, uint64_t tick);
+  void OfferRequest(Request req, uint64_t tick);
   // Client-side failure handling shared by every shed/fail path.
-  void ClientRetryOrReject(OpenRequest req, uint64_t tick, uint64_t extra_wait_ticks);
+  void ClientRetryOrReject(Request req, uint64_t tick, uint64_t extra_wait_ticks);
   // One shard's serving tick: expire overdue queue heads, then serve up to
   // slots_per_tick requests. Heartbeats are NOT sent here -- they are
   // out-of-band in the supervisor loop, so a saturated or shedding shard
   // still beats (the watchdog-vs-overload regression, tests/chaos/).
   void ServeTick(int index, uint64_t tick);
-  Status ServeOpen(Shard& shard, const OpenRequest& req);
+  // Serves `req` on up shard `index` and completes it: ops_ok, latency
+  // histograms, root span + exemplar decision (observer), the per-shard
+  // slowest-sample pool the blame table is computed from, and
+  // time-to-first-served. Shared by ServeTick and the drain-phase health
+  // probes. Returns the end-to-end latency in cycles.
+  uint64_t ServeAndComplete(int index, Request& req);
   // Drains a dead shard's queue back to the clients (fail-fast).
   void FailQueued(int index, uint64_t tick);
   double BrownoutSignal(int index) const;
@@ -304,16 +309,11 @@ class ShardedKvService {
   }
 
   // --- causal tracing + tail attribution -----------------------------------
-  // Completes one request: root span + exemplar decision (observer), latency
-  // histograms, and the per-shard slowest-sample pool the blame table is
-  // computed from. `kind` is the root op (kv_get/kv_put/kv_scan).
-  void FinishRequest(TraceKind kind, int shard, uint64_t trace_id, uint64_t first_arrival_cycles,
-                     uint64_t wait_cycles, uint64_t backoff_cycles, uint64_t serve_cycles);
   // Reduces the sample pools into report_.tail and publishes it to the
   // observer for the procfs `tailstat` section.
   void FinalizeTail();
   // One MetricSample per supervisor tick (no-op unless obs metrics are on).
-  void PushTickMetric(uint64_t tick, uint64_t queue_depth, uint64_t pending_retries,
+  void PushTickMetric(uint64_t tick, uint64_t queue_depth, uint64_t backoff_retries,
                       uint32_t arrivals);
   // Closes an open park window (admission queue or retry backoff): folds the
   // elapsed cycles into `acc_cycles` and records an admission_wait/retry_wait
@@ -333,16 +333,14 @@ class ShardedKvService {
   // streams, and the same (workload, seed) replays the same ids bit-for-bit.
   Rng trace_rng_;
   ZipfGenerator zipf_;
-  std::vector<Request> pending_;  // retry queue, arrival order preserved
   ShardServiceReport report_;
   int num_cpus_ = 1;
 
-  // Open-loop state (built only when config.arrival.enabled).
-  std::unique_ptr<ArrivalProcess> arrival_;
-  std::unique_ptr<RetryBudget> retry_budget_;
-  std::vector<AdmissionQueue<OpenRequest>> queues_;   // one per shard
-  std::vector<CircuitBreaker> breakers_;              // one per shard
-  std::vector<BrownoutController> brownouts_;         // one per shard
+  ArrivalProcess arrival_;
+  RetryBudget retry_budget_;
+  std::vector<AdmissionQueue<Request>> queues_;  // one per shard
+  std::vector<CircuitBreaker> breakers_;         // one per shard
+  std::vector<BrownoutController> brownouts_;    // one per shard
   // Per-shard overload pressure feeding the brownout signal. Queue state
   // alone cannot grade overload: admission pins the standing queue at the
   // same depth whether demand is 1.2x or 3x capacity. The fraction of
@@ -354,7 +352,7 @@ class ShardedKvService {
     double shed_ewma = 0.0;
   };
   std::vector<ShardPressure> pressure_;
-  std::vector<OpenRequest> open_pending_;  // client retries awaiting re-offer
+  std::vector<Request> backoff_;  // client retries awaiting re-offer, arrival order
 
   // Tail-attribution pools: per-shard completed-request latency histograms
   // plus a fixed pool of the slowest samples per shard (replace-the-minimum,

@@ -63,7 +63,7 @@ void AppendMetricCounter(std::string& out, const MetricSample& m, uint64_t pid,
                 ",\"queue_depth\":%u,\"pending_retries\":%u,\"brownout_level\":%u,"
                 "\"breakers_open\":%u,\"shards_down\":%u,\"arrivals\":%u,"
                 "\"tier_promoted_mb\":%.3f}}",
-                ts, pid, m.tick, m.queue_depth, m.pending_retries,
+                ts, pid, m.tick, m.queue_depth, m.backoff_retries,
                 static_cast<unsigned>(m.brownout_level), static_cast<unsigned>(m.breakers_open),
                 static_cast<unsigned>(m.shards_down), static_cast<unsigned>(m.arrivals),
                 static_cast<double>(m.tier_promoted_bytes) / (1024.0 * 1024.0));

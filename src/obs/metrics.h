@@ -24,11 +24,11 @@ struct MetricSample {
   uint64_t tick = 0;
   uint64_t cycles = 0;               // sim clock when the sample was taken
   uint32_t queue_depth = 0;          // admission queue depth, all shards
-  uint32_t pending_retries = 0;      // client requests parked in backoff
+  uint32_t backoff_retries = 0;      // client requests parked in backoff
   uint16_t brownout_level = 0;       // max level across shards (0 = normal)
   uint16_t breakers_open = 0;        // breakers not in closed state
   uint16_t shards_down = 0;          // shards hung or dead
-  uint16_t arrivals = 0;             // open-loop arrivals this tick
+  uint16_t arrivals = 0;             // new arrivals this tick
   uint64_t tier_promoted_bytes = 0;  // DRAM-cache residency
 };
 

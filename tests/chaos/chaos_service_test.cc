@@ -50,6 +50,7 @@ TEST(ChaosServiceTest, ChaosOffIsInvisible) {
   EXPECT_EQ(report.ops_attempted, 600u);
   EXPECT_EQ(report.ops_ok, 600u);
   EXPECT_EQ(report.ops_lost, 0u);
+  EXPECT_EQ(report.overload.rejected_final, 0u);  // no arrival given up
   EXPECT_EQ(report.retries, 0u);
   EXPECT_EQ(report.timeouts, 0u);
   EXPECT_EQ(report.kills + report.hangs + report.watchdog_kills + report.machine_crashes, 0u);
@@ -67,6 +68,7 @@ TEST(ChaosServiceTest, KillOneShardUnderLoadLosesNothing) {
   ShardServiceReport report = RunService(ServiceMachine(), WithCampaign("kill@200:1"));
   EXPECT_EQ(report.kills, 1u);
   EXPECT_EQ(report.ops_lost, 0u);
+  EXPECT_EQ(report.overload.rejected_final, 0u);  // no arrival given up
   EXPECT_EQ(report.verify_failures, 0u);
   EXPECT_EQ(report.ops_ok, report.ops_attempted);
 
@@ -95,6 +97,7 @@ TEST(ChaosServiceTest, HangBeyondAllowanceTriggersWatchdog) {
   EXPECT_EQ(report.hangs, 1u);
   EXPECT_EQ(report.watchdog_kills, 1u);
   EXPECT_EQ(report.ops_lost, 0u);
+  EXPECT_EQ(report.overload.rejected_final, 0u);  // no arrival given up
   EXPECT_EQ(report.verify_failures, 0u);
   ASSERT_EQ(report.recoveries.size(), 1u);
   EXPECT_EQ(report.recoveries[0].shard, 0);
@@ -112,6 +115,7 @@ TEST(ChaosServiceTest, SlowButAliveShardIsNotKilled) {
   EXPECT_EQ(report.watchdog_kills, 0u);
   EXPECT_TRUE(report.recoveries.empty());
   EXPECT_EQ(report.ops_lost, 0u);
+  EXPECT_EQ(report.overload.rejected_final, 0u);  // no arrival given up
   EXPECT_EQ(report.ops_ok, 600u);
   EXPECT_EQ(report.verify_failures, 0u);
 }
@@ -122,6 +126,7 @@ TEST(ChaosServiceTest, MediaPoisonDegradesAndRepairs) {
   ShardServiceReport report =
       RunService(ServiceMachine(), WithCampaign("poison@every2:0", /*seed=*/13));
   EXPECT_EQ(report.ops_lost, 0u);
+  EXPECT_EQ(report.overload.rejected_final, 0u);  // no arrival given up
   EXPECT_EQ(report.verify_failures, 0u);
   EXPECT_EQ(report.ops_ok, report.ops_attempted);
   EXPECT_GT(report.media_repairs, 0u);
@@ -131,6 +136,7 @@ TEST(ChaosServiceTest, MachineCrashRecoversAllShards) {
   ShardServiceReport report = RunService(ServiceMachine(), WithCampaign("crash@150"));
   EXPECT_EQ(report.machine_crashes, 1u);
   EXPECT_EQ(report.ops_lost, 0u);
+  EXPECT_EQ(report.overload.rejected_final, 0u);  // no arrival given up
   EXPECT_EQ(report.verify_failures, 0u);
   ASSERT_EQ(report.recoveries.size(), 1u);
   EXPECT_EQ(report.recoveries[0].shard, -1);
@@ -148,6 +154,7 @@ TEST(ChaosServiceTest, TornWriteCrashUnderExplicitFlush) {
   // are single-line, so a torn multi-line persist can never tear one).
   EXPECT_GE(report.machine_crashes, 1u);
   EXPECT_EQ(report.ops_lost, 0u);
+  EXPECT_EQ(report.overload.rejected_final, 0u);  // no arrival given up
   EXPECT_EQ(report.verify_failures, 0u);
 }
 
@@ -177,7 +184,12 @@ TEST(ChaosServiceTest, SameSeedReplaysBitIdentically) {
     EXPECT_EQ(a.recoveries[i].scrub_us, b.recoveries[i].scrub_us);
     EXPECT_EQ(a.recoveries[i].time_to_first_served_us, b.recoveries[i].time_to_first_served_us);
   }
+  EXPECT_EQ(a.overload.rejected_final, b.overload.rejected_final);
+  EXPECT_EQ(a.all_latency.count(), b.all_latency.count());
+  EXPECT_EQ(a.all_latency.Percentile(99.9), b.all_latency.Percentile(99.9));
+  EXPECT_EQ(a.all_latency.max(), b.all_latency.max());
   EXPECT_EQ(a.ops_lost, 0u);
+  EXPECT_EQ(a.overload.rejected_final, 0u);
   EXPECT_EQ(b.verify_failures, 0u);
 }
 

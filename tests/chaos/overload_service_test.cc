@@ -56,7 +56,6 @@ TEST(OverloadServiceTest, SaturationNeverTripsTheWatchdog) {
 TEST(OverloadServiceTest, ProtectedOverloadLosesNothing) {
   ShardServiceReport report = RunService(ServiceMachine(), OverloadService(36.0));
   const OverloadReport& ov = report.overload;
-  EXPECT_TRUE(ov.enabled);
   EXPECT_EQ(report.ops_lost, 0u);  // every shed is a clean rejection
   EXPECT_EQ(report.verify_failures, 0u);
   EXPECT_EQ(ov.arrivals, 2000u);
@@ -154,6 +153,23 @@ TEST(OverloadServiceTest, HungShardExpiresQueueAndRecovers) {
   const ShardOverloadStats& st = report.overload.per_shard[0];
   EXPECT_GT(st.expired_in_queue, 0u);  // queued requests burnt their deadline
   EXPECT_GE(st.breaker_transitions, 1u) << st.breaker_timeline;
+}
+
+TEST(OverloadServiceTest, DefaultCampaignFiresInsideTheArrivalHorizon) {
+  // The canned campaign scheduled against the open-loop arrival horizon
+  // (2000 arrivals at 6/tick span ~333 ticks, not 2000): its kill and its
+  // watchdog-length hang both land while the service is still running.
+  ShardServiceConfig config = OverloadService(6.0);
+  auto chaos =
+      ParseCampaign(DefaultCampaignSpec(config.arrival.HorizonTicks(config.ops)), /*seed=*/3);
+  ASSERT_TRUE(chaos.ok());
+  config.chaos = *chaos;
+  ShardServiceReport report = RunService(ServiceMachine(), config);
+  EXPECT_GE(report.kills, 1u);
+  EXPECT_GE(report.hangs, 1u);
+  EXPECT_GE(report.watchdog_kills, 1u);
+  EXPECT_EQ(report.ops_lost, 0u);
+  EXPECT_EQ(report.verify_failures, 0u);
 }
 
 TEST(OverloadServiceTest, SameSeedReplaysBitIdentically) {

@@ -19,7 +19,10 @@
 namespace o1mem {
 namespace {
 
-enum class FsKind { kTmpfs, kPmfsEager, kPmfsEpoch };
+// 64-bit so Param has no padding: gtest prints Param as a raw byte dump in
+// the test's listed name, and padding bytes would leak stack garbage into it
+// (the name would change from one process to the next).
+enum class FsKind : uint64_t { kTmpfs, kPmfsEager, kPmfsEpoch };
 
 struct Param {
   FsKind fs;
