@@ -7,7 +7,7 @@
 // compares two services:
 //
 //   * naive: unbounded FIFO queues, no admission control, no retry budget,
-//     no breakers, no brownout. Clients still time out after deadline_ticks
+//     no breakers, no brownout. Clients still time out after kDeadlineTicks
 //     and retry with backoff -- which is the collapse amplifier: past 1x,
 //     every queued request expires before it is served, retries multiply
 //     offered load, and goodput falls toward zero;

@@ -1,5 +1,5 @@
 // Figure 8: physically based mappings (Sec. 4.2). Virtual addresses are
-// derived from physical addresses (VA = pbm_base + PA), so a file maps at
+// derived from physical addresses (VA = FomManager::kPbmBase + PA), so a file maps at
 // the SAME virtual address in every process, with no collisions, which is
 // what makes cross-process page-table/range sharing trivially correct.
 //

@@ -49,8 +49,10 @@ struct AdmissionConfig {
   bool enabled = false;
   uint64_t queue_capacity = 64;   // hard bound on queued requests per shard
   uint64_t target_wait_ticks = 3;  // standing-queue sojourn target (0 = off)
-  double est_alpha = 0.125;        // EWMA weight for the observed-wait signal
 };
+
+// EWMA weight for the observed-wait and shed-fraction signals.
+constexpr double kAdmissionEwmaAlpha = 0.125;
 
 struct RetryBudgetConfig {
   bool enabled = false;
@@ -152,7 +154,7 @@ class AdmissionQueue {
   // Records an observed admission-to-service wait; feeds the brownout
   // signal's EWMA (not the admission estimate, which is exact).
   void ObserveWait(double wait_ticks) {
-    ewma_wait_ticks_ += config_.est_alpha * (wait_ticks - ewma_wait_ticks_);
+    ewma_wait_ticks_ += kAdmissionEwmaAlpha * (wait_ticks - ewma_wait_ticks_);
   }
   double ewma_wait_ticks() const { return ewma_wait_ticks_; }
 

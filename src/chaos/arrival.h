@@ -44,7 +44,7 @@ struct ArrivalConfig {
   uint64_t horizon_ticks = 0;  // ramp horizon; 0 = derived from the op budget
 
   // Op-class mix applied per arrival (remainder after scans splits into
-  // writes and reads by the service's write_fraction).
+  // writes and reads by ShardedKvService::kWriteFraction).
   double scan_fraction = 0.0;
   uint64_t scan_records = 16;  // records touched by one scan op
 

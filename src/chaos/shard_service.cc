@@ -28,7 +28,7 @@ ShardedKvService::ShardedKvService(System& sys, const ShardServiceConfig& config
       workload_rng_(config.workload_seed),
       retry_rng_(config.chaos.seed ^ 0x9e3779b97f4a7c15ULL),
       trace_rng_(config.workload_seed ^ 0x0ddc0ffeebadf00dULL),
-      zipf_(client_version_.size(), config.zipf_theta),
+      zipf_(client_version_.size(), kZipfTheta),
       // One arrival stream per run, seeded independently of the chaos seed so
       // (arrival spec, campaign, seed) each govern their own random stream.
       arrival_(config.arrival, config.ops, config.workload_seed ^ 0xa5c1d34b9e77f210ULL),
@@ -70,7 +70,7 @@ void ShardedKvService::SetupShards() {
         "/srv/shard" + std::to_string(i), config_.shard_bytes,
         SegmentOptions{.flags = FileFlags{.persistent = true}});
     O1_CHECK(inode.ok());
-    shards_.emplace_back(config_);
+    shards_.emplace_back();
     BringUp(i);
   }
 }
@@ -203,7 +203,7 @@ Status ShardedKvService::ServeOnce(Shard& shard, uint64_t key, OpClass cls) {
     return OkStatus();
   }
   O1_RETURN_IF_ERROR(read);
-  if (config_.verify && client_version_[key] != 0) {
+  if (client_version_[key] != 0) {
     uint64_t version = 0;
     uint64_t stored_key = 0;
     std::memcpy(&version, line, sizeof(version));
@@ -595,7 +595,7 @@ void ShardedKvService::OfferRequest(Request req, uint64_t tick) {
   AdmissionQueue<Request>& q = queues_[static_cast<size_t>(index)];
   req.arrival_tick = tick;
   req.park_cycles = sys_.ctx().now();  // queue-wait window opens if admitted
-  switch (q.Offer(req, tick, tick + config_.deadline_ticks)) {
+  switch (q.Offer(req, tick, tick + kDeadlineTicks)) {
     case AdmissionQueue<Request>::Verdict::kAdmit:
       st.admitted++;
       ov.admitted++;
@@ -645,7 +645,7 @@ void ShardedKvService::ServeTick(int index, uint64_t tick) {
 
   // Expire overdue heads first (clients time out in queue order): each one
   // is a real failure -- it burnt a full deadline -- so it feeds the breaker.
-  while (!q.empty() && q.front().arrival_tick + config_.deadline_ticks <= tick) {
+  while (!q.empty() && q.front().arrival_tick + kDeadlineTicks <= tick) {
     Request req = q.PopFront();
     ClosePark(req.park_cycles, req.wait_cycles, req.trace_id, req.next_span,
               TraceKind::kAdmissionWait);
@@ -676,7 +676,7 @@ void ShardedKvService::ServeTick(int index, uint64_t tick) {
     // Goodput is END-TO-END: the expiry loop above only bounds the wait
     // since the *latest* offer, so a request that expired, retried and was
     // finally served still blew its client deadline -- served, not goodput.
-    if (tick - req.first_arrival_tick <= config_.deadline_ticks) {
+    if (tick - req.first_arrival_tick <= kDeadlineTicks) {
       ov.served_in_deadline++;
     }
     if (req.cls == OpClass::kScan) {
@@ -722,8 +722,7 @@ void ShardedKvService::ApplyBrownoutLevels(uint64_t tick) {
             ? 0.0
             : std::min(1.0, static_cast<double>(pressure.sheds) /
                                 static_cast<double>(pressure.offers));
-    pressure.shed_ewma +=
-        config_.overload.admission.est_alpha * (shed_frac - pressure.shed_ewma);
+    pressure.shed_ewma += kAdmissionEwmaAlpha * (shed_frac - pressure.shed_ewma);
     pressure.offers = 0;
     pressure.sheds = 0;
     BrownoutController& b = brownouts_[static_cast<size_t>(i)];
@@ -777,7 +776,7 @@ ShardServiceReport ShardedKvService::Run() {
   // within max_attempts bounded backoffs, queues drain at >= 1/tick.
   const uint64_t max_ticks =
       expected_ticks * 8 + static_cast<uint64_t>(config_.retry.max_attempts) *
-                               (config_.retry.max_delay_ticks + config_.deadline_ticks) * 64 +
+                               (config_.retry.max_delay_ticks + kDeadlineTicks) * 64 +
       config_.ops + 1000;
 
   // Steady-state queue-depth windows (arrival phase only; the drain phase
@@ -793,7 +792,7 @@ ShardServiceReport ShardedKvService::Run() {
   uint64_t tick = 0;
   for (;; ++tick) {
     O1_CHECK(tick < max_ticks);
-    sys_.ctx().Charge(config_.tick_cycles);
+    sys_.ctx().Charge(kTickCycles);
     if (campaign_ != nullptr) {
       for (const ChaosFiring& firing : campaign_->Poll(tick)) {
         ApplyFiring(firing, tick);
@@ -830,7 +829,7 @@ ShardServiceReport ShardedKvService::Run() {
     // matter how deep its queue is or how much it is shedding. Overload is
     // not a liveness failure -- a saturated shard must never be watchdog-
     // killed (regression test in tests/chaos/).
-    if (tick % config_.heartbeat_interval_ticks == 0) {
+    if (tick % kHeartbeatIntervalTicks == 0) {
       for (Shard& shard : shards_) {
         if (shard.state == ShardState::kUp) {
           shard.dog.Beat(tick);
@@ -861,7 +860,7 @@ ShardServiceReport ShardedKvService::Run() {
       if (config_.arrival.scan_fraction > 0 &&
           workload_rng_.NextBool(config_.arrival.scan_fraction)) {
         cls = OpClass::kScan;
-      } else if (workload_rng_.NextBool(config_.write_fraction)) {
+      } else if (workload_rng_.NextBool(kWriteFraction)) {
         cls = OpClass::kWrite;
       }
       ov.arrivals++;

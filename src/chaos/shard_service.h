@@ -21,7 +21,7 @@
 // admission, retry budget, breakers and brownout off, so the closed loop is
 // the same pipeline with every protection off.
 //
-//   * every request carries a deadline of deadline_ticks from its latest
+//   * every request carries a deadline of kDeadlineTicks from its latest
 //     offer; a request queued at a hung shard expires at its deadline
 //     (a timeout), a request to a dead shard fails fast; either way the
 //     client retries with capped exponential backoff + full jitter
@@ -31,7 +31,7 @@
 //   * every shard heartbeats its watchdog (src/chaos/watchdog.h) each
 //     heartbeat interval, out of band, so a saturated shard still beats; the
 //     supervisor kills and recovers a shard whose watchdog expires
-//     (missed_beats full intervals without a beat), while the other shards
+//     (kMissedBeats full intervals without a beat), while the other shards
 //     keep serving;
 //   * recovery = exit the zombie (if any), PMFS scrub (journal replay +
 //     media patrol), relaunch, remap -- each leg timed separately so the
@@ -101,18 +101,11 @@ struct ShardServiceConfig {
   uint64_t shard_bytes = 8 * kMiB;
   uint64_t record_bytes = 1024;
   uint64_t ops = 20000;  // client arrivals (the arrival budget)
-  double write_fraction = 0.3;
-  double zipf_theta = 0.99;
   uint64_t workload_seed = 7;  // key/op mix; independent of the chaos seed
 
-  uint64_t deadline_ticks = 8;  // client timeout on a hung shard
   RetryPolicy retry;
-  uint64_t heartbeat_interval_ticks = 4;
-  uint64_t missed_beats = 3;
-  uint64_t tick_cycles = 2000;  // client-side time per tick (1 us at 2 GHz)
 
   uint64_t tier_tick_every = 0;  // run System::TierTick every N ticks (0=off)
-  bool verify = true;            // audit every get against the client copy
 
   ChaosConfig chaos;
 
@@ -217,6 +210,19 @@ class ShardedKvService {
   // (SMP, tier, persistence model). Shards serve on CPU shard % num_cpus.
   ShardedKvService(System& sys, const ShardServiceConfig& config);
 
+  // Client workload shape: the write share of non-scan arrivals and the
+  // zipfian key skew.
+  static constexpr double kWriteFraction = 0.3;
+  static constexpr double kZipfTheta = 0.99;
+  // Client timeout on a hung shard.
+  static constexpr uint64_t kDeadlineTicks = 8;
+  // Watchdog shape: a shard beats every kHeartbeatIntervalTicks and is
+  // declared dead after kMissedBeats full intervals without a beat.
+  static constexpr uint64_t kHeartbeatIntervalTicks = 4;
+  static constexpr uint64_t kMissedBeats = 3;
+  // Client-side time per tick (1 us at 2 GHz).
+  static constexpr uint64_t kTickCycles = 2000;
+
   // Builds the shards, runs the tick loop to completion (all arrivals
   // resolved, all shards back up), and reports. Call once.
   ShardServiceReport Run();
@@ -236,8 +242,7 @@ class ShardedKvService {
     bool awaiting_first_serve = false;
     const char* down_cause = "";
 
-    explicit Shard(const ShardServiceConfig& config)
-        : dog(config.heartbeat_interval_ticks, config.missed_beats) {}
+    Shard() : dog(kHeartbeatIntervalTicks, kMissedBeats) {}
   };
 
   // One client request: op class, arrival stamps, client deadline.

@@ -39,7 +39,6 @@ uint64_t GetU64At(const std::vector<uint8_t>& v, size_t off) {
 FomManager::FomManager(Machine* machine, Pmfs* pmfs, const FomConfig& config)
     : machine_(machine), pmfs_(pmfs), config_(config) {
   O1_CHECK(machine != nullptr && pmfs != nullptr);
-  O1_CHECK(IsAligned(config.map_region_base, kLargePageSize));
 }
 
 std::unique_ptr<FomProcess> FomManager::CreateProcess() {
@@ -47,7 +46,7 @@ std::unique_ptr<FomProcess> FomManager::CreateProcess() {
   // ASLR-like per-process stagger: without PBM, nothing guarantees two
   // processes map a file at the same address (the premise of Sec. 4.2).
   const uint64_t slot = proc->address_space().asid() % 512;
-  proc->bump_ = config_.map_region_base + slot * (config_.map_region_bytes / 512);
+  proc->bump_ = kMapRegionBase + slot * (kMapRegionBytes / 512);
   return proc;
 }
 
@@ -245,7 +244,7 @@ Result<Vaddr> FomManager::PickVaddr(FomProcess& proc, uint64_t bytes, const MapO
     if (extents->size() != 1) {
       return Unsupported("PBM requires a single-extent file");
     }
-    return config_.pbm_base + extents->front().paddr;
+    return kPbmBase + extents->front().paddr;
   }
   if (options.fixed_vaddr.has_value()) {
     const Vaddr fixed = *options.fixed_vaddr;
@@ -273,7 +272,7 @@ Result<Vaddr> FomManager::PickVaddr(FomProcess& proc, uint64_t bytes, const MapO
                                                                   : kLargePageSize;
   const Vaddr vaddr = AlignUp(proc.bump_, align);
   const uint64_t reserve = AlignUp(bytes, kLargePageSize);
-  if (vaddr + reserve > config_.map_region_base + config_.map_region_bytes) {
+  if (vaddr + reserve > kMapRegionBase + kMapRegionBytes) {
     return OutOfMemory("FOM map region exhausted");
   }
   proc.bump_ = vaddr + reserve;

@@ -43,7 +43,7 @@ enum class MapMechanism {
   kRangeTable,  // one range-table entry per extent (needs range hardware)
   kPtSplice,    // splice pre-created subtrees at 2 MiB boundaries
   kPerPage,     // baseline: one PTE per page (for comparison benches)
-  kPbm,         // physically based mapping: VA = pbm_base + extent paddr
+  kPbm,         // physically based mapping: VA = kPbmBase + extent paddr
 };
 
 struct FomConfig {
@@ -51,12 +51,6 @@ struct FomConfig {
   // Build pre-created tables at segment creation (else on first kPtSplice
   // map).
   bool precreate_page_tables = true;
-  // Virtual region handed out to FOM mappings.
-  Vaddr map_region_base = 32 * kTiB;
-  uint64_t map_region_bytes = 64 * kTiB;
-  // Base of the physically-based-mapping window (Sec. 4.2): every byte of
-  // physical memory has the fixed virtual alias pbm_base + paddr.
-  Vaddr pbm_base = 128 * kTiB;
 };
 
 struct MapOptions {
@@ -119,6 +113,14 @@ class FomProcess {
 
 class FomManager {
  public:
+  // Virtual region handed out to FOM mappings.
+  static constexpr Vaddr kMapRegionBase = 32 * kTiB;
+  static constexpr uint64_t kMapRegionBytes = 64 * kTiB;
+  static_assert(IsAligned(kMapRegionBase, kLargePageSize));
+  // Base of the physically-based-mapping window (Sec. 4.2): every byte of
+  // physical memory has the fixed virtual alias kPbmBase + paddr.
+  static constexpr Vaddr kPbmBase = 128 * kTiB;
+
   FomManager(Machine* machine, Pmfs* pmfs, const FomConfig& config = FomConfig());
 
   FomManager(const FomManager&) = delete;

@@ -1188,14 +1188,12 @@ Status Pmfs::OnCrash() {
 
   // 1. Superblock names the active slot; on damage, probe both slots and
   //    adopt the one with the newest valid generation.
-  bool sb_healthy = true;
   uint32_t slot = 0;
   uint64_t gen = 0;
   if (auto sb = ReadSuperblock(); sb.ok()) {
     slot = sb->first;
     gen = sb->second;
   } else {
-    sb_healthy = false;
     const SlotProbe p0 = ParseSlot(0, /*apply=*/false, 0);
     const SlotProbe p1 = ParseSlot(1, /*apply=*/false, 0);
     slot = p1.generation > p0.generation ? 1 : 0;
@@ -1276,7 +1274,6 @@ Status Pmfs::OnCrash() {
       Degrade("journal slot unreadable after recovery");
     }
   }
-  (void)sb_healthy;
   ops_records_ = 0;
   return OkStatus();
 }

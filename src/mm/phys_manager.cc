@@ -171,7 +171,7 @@ Result<Paddr> PhysManager::AllocFrame(bool zero) {
   bool refilled = false;
   if (c.free.empty()) {
     ctx.Charge(cost.pcp_refill_base_cycles);
-    O1_RETURN_IF_ERROR(buddy_.AllocFrameBatch(ctx.smp().pcp_batch, &c.free));
+    O1_RETURN_IF_ERROR(buddy_.AllocFrameBatch(kPcpBatch, &c.free));
     refilled = true;
   }
   ctx.Charge(cost.pcp_op_cycles);
@@ -192,7 +192,7 @@ bool PhysManager::RefillZeroedFromPool(CpuCache& c) {
   SimContext& ctx = machine_->ctx();
   const CostModel& cost = ctx.cost();
   const uint64_t remote = static_cast<uint64_t>(ctx.num_cpus() - 1);
-  const size_t take = std::min<size_t>(static_cast<size_t>(ctx.smp().pcp_batch),
+  const size_t take = std::min<size_t>(static_cast<size_t>(kPcpBatch),
                                        prezero_pool_.size());
   // One shared-pool lock round trip moves the whole batch.
   ctx.Charge(cost.pcp_refill_base_cycles + remote * cost.zone_lock_contention_cycles +
@@ -219,7 +219,7 @@ void PhysManager::ReplenishPrezeroPool() {
   ctx.RedirectCharges(&background);
   while (prezero_pool_.size() < target && buddy_.free_bytes() > reserve) {
     const int want = static_cast<int>(
-        std::min<uint64_t>(static_cast<uint64_t>(ctx.smp().pcp_batch),
+        std::min<uint64_t>(static_cast<uint64_t>(kPcpBatch),
                            target - prezero_pool_.size()));
     std::vector<Paddr> batch;
     if (!buddy_.AllocFrameBatch(want, &batch).ok() || batch.empty()) {
@@ -251,9 +251,9 @@ Status PhysManager::FreeOne(Paddr paddr) {
   CpuCache& c = cache();
   ctx.Charge(ctx.cost().pcp_op_cycles);
   c.free.push_back(paddr);
-  if (c.free.size() > static_cast<size_t>(ctx.smp().pcp_high_watermark)) {
+  if (c.free.size() > static_cast<size_t>(kPcpHighWatermark)) {
     // Drain the coldest batch back to the buddy under one zone-lock trip.
-    const size_t drain = std::min(c.free.size(), static_cast<size_t>(ctx.smp().pcp_batch));
+    const size_t drain = std::min(c.free.size(), static_cast<size_t>(kPcpBatch));
     O1_RETURN_IF_ERROR(buddy_.FreeFrameBatch(std::span<const Paddr>(c.free.data(), drain)));
     c.free.erase(c.free.begin(), c.free.begin() + static_cast<ptrdiff_t>(drain));
   }

@@ -6,7 +6,7 @@
 //   * percpu_frame_cache: a Linux pcp-style cache of order-0 frames in front
 //     of the buddy, one per simulated CPU. Single-frame alloc/free becomes a
 //     push/pop (pcp_op_cycles); the buddy -- and its zone-lock contention
-//     charge -- is only visited in batches of pcp_batch frames.
+//     charge -- is only visited in batches of kPcpBatch frames.
 //   * prezero_pool: a shared pool of frames zeroed off the critical path
 //     (charges diverted to background_zero_cycles via
 //     SimContext::RedirectCharges, like Pmfs's background zeroing). A zeroed
@@ -27,6 +27,12 @@ namespace o1mem {
 
 class PhysManager {
  public:
+  // A per-CPU cache refills from and drains to the buddy kPcpBatch frames
+  // per zone-lock round trip, and drains once it holds more than
+  // kPcpHighWatermark frames.
+  static constexpr int kPcpBatch = 16;
+  static constexpr int kPcpHighWatermark = 48;
+
   explicit PhysManager(Machine* machine);
 
   PhysManager(const PhysManager&) = delete;
@@ -113,7 +119,7 @@ class PhysManager {
   // the buddy when the cache is disabled.
   Status FreeOne(Paddr paddr);
 
-  // Pulls up to pcp_batch pre-zeroed frames from the shared pool into the
+  // Pulls up to kPcpBatch pre-zeroed frames from the shared pool into the
   // current CPU's zeroed stock. Returns false if the pool was empty.
   bool RefillZeroedFromPool(CpuCache& c);
 

@@ -44,16 +44,12 @@ struct ObsConfig {
   // Exemplar reservoir (request-scoped causal tracing): retain the full span
   // trees of the slowest requests per (root op, size class), overwrite-oldest.
   // Requires `trace` (trees are staged off the emit path). All memory is
-  // fixed at construction: per_bucket * max_events trace slots per bucket
-  // plus stage_slots * max_events staging slots.
+  // fixed at construction; the sizes are Observer::kExemplar* constants.
   bool exemplars = false;
-  uint32_t exemplar_per_bucket = 4;     // K slowest trees kept per bucket
-  uint32_t exemplar_max_events = 96;    // span-tree events retained per tree
-  uint32_t exemplar_stage_slots = 1024; // in-flight requests staged at once
   // Per-tick service metrics ring (queue depth, brownout level, breaker
-  // state, tier occupancy over time) -- same overwrite-oldest discipline.
+  // state, tier occupancy over time) -- same overwrite-oldest discipline,
+  // Observer::kMetricsCapacity rows.
   bool metrics = false;
-  uint32_t metrics_capacity = 1u << 14;
 };
 
 }  // namespace o1mem

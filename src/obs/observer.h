@@ -26,6 +26,14 @@ namespace o1mem {
 
 class Observer {
  public:
+  // Exemplar reservoir sizes: kExemplarPerBucket * kExemplarMaxEvents trace
+  // slots per bucket plus kExemplarStageSlots * kExemplarMaxEvents staging
+  // slots.
+  static constexpr uint32_t kExemplarPerBucket = 4;     // K slowest trees kept per bucket
+  static constexpr uint32_t kExemplarMaxEvents = 96;    // span-tree events retained per tree
+  static constexpr uint32_t kExemplarStageSlots = 1024; // in-flight requests staged at once
+  static constexpr uint32_t kMetricsCapacity = 1u << 14;
+
   explicit Observer(const ObsConfig& config) : config_(config) {
     if (config_.trace) {
       ring_ = std::make_unique<TraceRing>(config_.ring_capacity);
@@ -34,13 +42,11 @@ class Observer {
       hist_ = std::make_unique<HistogramRegistry>();
     }
     if (config_.exemplars && config_.trace) {
-      stager_ = std::make_unique<TraceStager>(config_.exemplar_stage_slots,
-                                              config_.exemplar_max_events);
-      exemplars_ = std::make_unique<ExemplarReservoir>(config_.exemplar_per_bucket,
-                                                       config_.exemplar_max_events);
+      stager_ = std::make_unique<TraceStager>(kExemplarStageSlots, kExemplarMaxEvents);
+      exemplars_ = std::make_unique<ExemplarReservoir>(kExemplarPerBucket, kExemplarMaxEvents);
     }
     if (config_.metrics) {
-      metrics_ = std::make_unique<MetricsRing>(config_.metrics_capacity);
+      metrics_ = std::make_unique<MetricsRing>(kMetricsCapacity);
     }
   }
 

@@ -36,10 +36,8 @@ struct SmpConfig {
 
   // Linux pcp-style per-CPU frame caches in front of the buddy allocator:
   // order-0 allocs/frees become a lock-free pop/push; refill/drain moves
-  // `pcp_batch` frames under one zone-lock round trip.
+  // PhysManager::kPcpBatch frames under one zone-lock round trip.
   bool percpu_frame_cache = false;
-  int pcp_batch = 16;
-  int pcp_high_watermark = 48;  // drain a batch when a CPU cache exceeds this
 
   // Background pre-zeroed frame pool: AllocFrame(zero=true) pops an
   // already-zeroed frame; the 4 KiB Zero() runs off the critical path and is

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <cstring>
 
 #include "src/obs/span.h"
 #include "src/sim/fault_injector.h"
@@ -79,23 +78,22 @@ void Mmu::ChargeShootdown(uint64_t cycles) {
   ctx_->counters().shootdown_cycles += cycles;
 }
 
-void Mmu::InvalidateOn(CpuState& state, Asid asid, Vaddr vaddr, uint64_t len) {
+void Mmu::InvalidateOn(CpuState& state, const PendingInval& inval) {
   state.fast.valid = false;  // conservative: any invalidation clears the fast path
-  state.l1_tlb.InvalidateRange(asid, vaddr, len);
-  state.l2_tlb.InvalidateRange(asid, vaddr, len);
-  state.range_tlb.InvalidateRange(asid, vaddr, len);
+  if (inval.whole_asid) {
+    state.l1_tlb.InvalidateAsid(inval.asid);
+    state.l2_tlb.InvalidateAsid(inval.asid);
+    state.range_tlb.InvalidateAsid(inval.asid);
+  } else {
+    state.l1_tlb.InvalidateRange(inval.asid, inval.vaddr, inval.len);
+    state.l2_tlb.InvalidateRange(inval.asid, inval.vaddr, inval.len);
+    state.range_tlb.InvalidateRange(inval.asid, inval.vaddr, inval.len);
+  }
 }
 
 void Mmu::ApplyPending(CpuState& state) {
-  state.fast.valid = false;
   for (const PendingInval& inval : state.pending) {
-    if (inval.whole_asid) {
-      state.l1_tlb.InvalidateAsid(inval.asid);
-      state.l2_tlb.InvalidateAsid(inval.asid);
-      state.range_tlb.InvalidateAsid(inval.asid);
-    } else {
-      InvalidateOn(state, inval.asid, inval.vaddr, inval.len);
-    }
+    InvalidateOn(state, inval);
   }
   state.pending.clear();
 }
@@ -117,47 +115,37 @@ void Mmu::DrainForTranslate(Asid asid) {
 }
 
 std::optional<TranslationInfo> Mmu::TryTranslate(AddressSpace& as, Vaddr vaddr) {
+  using Source = TranslationInfo::Source;
   const CostModel& c = ctx_->cost();
-  DrainForTranslate(as.asid());
+  const Asid asid = as.asid();
+  DrainForTranslate(asid);
   CpuState& hw = cpu();
-  // L1 TLB.
-  if (auto e = hw.l1_tlb.Lookup(as.asid(), vaddr)) {
-    ctx_->counters().tlb_l1_hits++;
-    ctx_->Charge(c.tlb_l1_hit_cycles);
-    hw.fast = FastEntry{true, true, as.asid(), e->vbase, e->page_bytes, e->pbase, e->prot};
-    return TranslationInfo{.paddr = e->pbase + (vaddr - e->vbase),
-                           .prot = e->prot,
-                           .source = TranslationInfo::Source::kL1Tlb};
+  FastEntry& fast = hw.fast;
+  // An L1 TLB or range-TLB hit is exactly the event a fast-entry hit
+  // replays, so both are booked by ReplayFastHit.
+  if (auto e = hw.l1_tlb.Lookup(asid, vaddr)) {
+    fast = FastEntry{true, true, asid, e->vbase, e->page_bytes, e->pbase, e->prot};
+    return ReplayFastHit(fast, vaddr);
   }
-  // L2 TLB.
-  if (auto e = hw.l2_tlb.Lookup(as.asid(), vaddr)) {
+  if (auto e = hw.l2_tlb.Lookup(asid, vaddr)) {
     ctx_->counters().tlb_l2_hits++;
     ctx_->Charge(c.tlb_l2_hit_cycles + c.tlb_insert_cycles);
-    hw.l1_tlb.Insert(as.asid(), e->vbase, e->pbase, e->page_bytes, e->prot);
-    hw.fast = FastEntry{true, true, as.asid(), e->vbase, e->page_bytes, e->pbase, e->prot};
-    return TranslationInfo{.paddr = e->pbase + (vaddr - e->vbase),
-                           .prot = e->prot,
-                           .source = TranslationInfo::Source::kL2Tlb};
+    hw.l1_tlb.Insert(asid, e->vbase, e->pbase, e->page_bytes, e->prot);
+    fast = FastEntry{true, true, asid, e->vbase, e->page_bytes, e->pbase, e->prot};
+    return fast.At(vaddr, Source::kL2Tlb);
+  }
+  if (auto e = hw.range_tlb.Lookup(asid, vaddr)) {
+    fast = FastEntry{true, false, asid, e->vbase, e->bytes, e->pbase, e->prot};
+    return ReplayFastHit(fast, vaddr);
   }
   ctx_->counters().tlb_misses++;
-  // Range TLB.
-  if (auto e = hw.range_tlb.Lookup(as.asid(), vaddr)) {
-    ctx_->counters().range_tlb_hits++;
-    ctx_->Charge(c.range_tlb_hit_cycles);
-    hw.fast = FastEntry{true, false, as.asid(), e->vbase, e->bytes, e->pbase, e->prot};
-    return TranslationInfo{.paddr = e->pbase + (vaddr - e->vbase),
-                           .prot = e->prot,
-                           .source = TranslationInfo::Source::kRangeTlb};
-  }
   // Range-table walk (hardware walker over the OS-maintained range table).
   if (auto r = as.range_table().Lookup(vaddr)) {
     ctx_->counters().range_table_walks++;
     ctx_->Charge(c.range_table_walk_cycles + c.tlb_insert_cycles);
-    hw.range_tlb.Insert(as.asid(), r->vbase, r->bytes, r->pbase, r->prot);
-    hw.fast = FastEntry{true, false, as.asid(), r->vbase, r->bytes, r->pbase, r->prot};
-    return TranslationInfo{.paddr = r->pbase + (vaddr - r->vbase),
-                           .prot = r->prot,
-                           .source = TranslationInfo::Source::kRangeTable};
+    hw.range_tlb.Insert(asid, r->vbase, r->bytes, r->pbase, r->prot);
+    fast = FastEntry{true, false, asid, r->vbase, r->bytes, r->pbase, r->prot};
+    return fast.At(vaddr, Source::kRangeTable);
   }
   // Radix page-table walk.
   if (auto t = as.page_table().Lookup(vaddr)) {
@@ -165,50 +153,26 @@ std::optional<TranslationInfo> Mmu::TryTranslate(AddressSpace& as, Vaddr vaddr) 
     ctx_->Charge(c.tlb_insert_cycles);
     const Vaddr vbase = AlignDown(vaddr, t->page_bytes);
     const Paddr pbase = t->paddr - (vaddr - vbase);
-    hw.l1_tlb.Insert(as.asid(), vbase, pbase, t->page_bytes, t->prot);
-    hw.l2_tlb.Insert(as.asid(), vbase, pbase, t->page_bytes, t->prot);
-    hw.fast = FastEntry{true, true, as.asid(), vbase, t->page_bytes, pbase, t->prot};
-    return TranslationInfo{.paddr = t->paddr,
-                           .prot = t->prot,
-                           .source = TranslationInfo::Source::kPageWalk};
+    hw.l1_tlb.Insert(asid, vbase, pbase, t->page_bytes, t->prot);
+    hw.l2_tlb.Insert(asid, vbase, pbase, t->page_bytes, t->prot);
+    fast = FastEntry{true, true, asid, vbase, t->page_bytes, pbase, t->prot};
+    return fast.At(vaddr, Source::kPageWalk);
   }
   // Charge the full failed walk: hardware discovers the hole the hard way.
   ChargeWalk(as, vaddr, as.page_table().depth());
-  hw.fast.valid = false;
+  fast.valid = false;
   return std::nullopt;
 }
 
 TranslationInfo Mmu::ReplayFastHit(const FastEntry& fast, Vaddr vaddr) {
-  const CostModel& c = ctx_->cost();
-  if (fast.page_backed) {
-    // The entry is (now) present in the L1 TLB: replay an L1 hit.
-    ctx_->counters().tlb_l1_hits++;
-    ctx_->Charge(c.tlb_l1_hit_cycles);
-    return TranslationInfo{.paddr = fast.pbase + (vaddr - fast.vbase),
-                           .prot = fast.prot,
-                           .source = TranslationInfo::Source::kL1Tlb};
-  }
-  // Range-backed spans never enter the L1/L2 page TLBs: replay the L1+L2
-  // miss followed by the range-TLB hit, exactly as the slow path charges it.
-  ctx_->counters().tlb_misses++;
-  ctx_->counters().range_tlb_hits++;
-  ctx_->Charge(c.range_tlb_hit_cycles);
-  return TranslationInfo{.paddr = fast.pbase + (vaddr - fast.vbase),
-                         .prot = fast.prot,
-                         .source = TranslationInfo::Source::kRangeTlb};
+  ctx_->Charge(BookHits(fast.page_backed, 1));
+  return fast.At(vaddr, fast.page_backed ? TranslationInfo::Source::kL1Tlb
+                                         : TranslationInfo::Source::kRangeTlb);
 }
 
 Result<TranslationInfo> Mmu::Translate(AddressSpace& as, Vaddr vaddr, AccessType type) {
-  if (fastpath_) {
-    CpuState& hw = cpu();
-    const FastEntry& f = hw.fast;
-    // Queued invalidations force the slow path so DrainForTranslate keeps
-    // its exact charges; a protection mismatch takes the slow path too and
-    // traps there, unchanged.
-    if (f.valid && f.asid == as.asid() && vaddr >= f.vbase && vaddr - f.vbase < f.bytes &&
-        HasProt(f.prot, RequiredProt(type)) && hw.pending.empty()) {
-      return ReplayFastHit(f, vaddr);
-    }
+  if (Covers(as, vaddr, 1, type)) {
+    return ReplayFastHit(cpu().fast, vaddr);
   }
   bool faulted = false;
   for (int attempt = 0; attempt <= kMaxFaultRetries; ++attempt) {
@@ -238,170 +202,66 @@ Result<TranslationInfo> Mmu::Translate(AddressSpace& as, Vaddr vaddr, AccessType
   return FaultError("fault handler loop did not install a translation");
 }
 
-void Mmu::ChargeDataTouch(Paddr paddr, uint64_t len, AccessType type) {
-  const CostModel& c = ctx_->cost();
-  const bool nvm = phys_->TierOf(paddr) == MemTier::kNvm;
-  if (len >= kStreamingThreshold) {
-    if (nvm) {
-      ctx_->Charge(type == AccessType::kWrite ? c.NvmWriteBulkCycles(len)
-                                              : c.NvmReadBulkCycles(len));
-    } else {
-      ctx_->Charge(c.DramBulkCycles(len));
-    }
-    return;
-  }
-  const uint64_t lines = (len + 63) / 64;
-  if (nvm) {
-    ctx_->Charge(lines * (type == AccessType::kWrite ? c.nvm_write_cycles : c.nvm_read_cycles));
-  } else {
-    ctx_->Charge(lines * c.dram_access_cycles);
-  }
-}
-
 uint64_t Mmu::TryBulkSpan(AddressSpace& as, Vaddr vaddr, uint64_t len, AccessType type,
                           Paddr* paddr_out) {
-  if (!fastpath_) {
+  if (!Covers(as, vaddr, 1, type)) {
     return 0;
   }
-  CpuState& hw = cpu();
-  const FastEntry& f = hw.fast;
-  if (!f.valid || f.asid != as.asid() || vaddr < f.vbase || vaddr - f.vbase >= f.bytes ||
-      !HasProt(f.prot, RequiredProt(type)) || !hw.pending.empty()) {
-    return 0;
-  }
+  const FastEntry& f = cpu().fast;
   const uint64_t span = std::min(len, f.vbase + f.bytes - vaddr);
   const Paddr pstart = f.pbase + (vaddr - f.vbase);
-  // ChargeDataTouch picks its rate by tier; a span that straddles the
+  // The touch price depends on the tier; a span that straddles the
   // DRAM/NVM boundary must go per-page to split the charge identically.
   if (phys_->TierOf(pstart) != phys_->TierOf(pstart + span - 1)) {
     return 0;
   }
-  // Replay the per-page loop's charges in closed form: one translation hit
-  // per page chunk, plus the data-touch decomposition (a possibly-short
-  // head, whole pages, a possibly-short tail). Full 4 KiB chunks always
-  // take the streaming rate, and the bulk formulas are exactly linear per
-  // 64-byte line, so per-chunk and summed charges are equal to the cycle.
+  // Replay the chunk loop's charges in closed form: one translation hit
+  // per page chunk, plus the touches of a possibly-short head, whole pages
+  // and a possibly-short tail. Full 4 KiB chunks always take the streaming
+  // rate, and the bulk formulas are exactly linear per 64-byte line, so
+  // per-chunk and summed charges are equal to the cycle.
   const uint64_t head = std::min<uint64_t>(kPageSize - (vaddr & (kPageSize - 1)), span);
-  const uint64_t chunks = PageSpan(vaddr, span);
-  const CostModel& c = ctx_->cost();
-  if (f.page_backed) {
-    ctx_->counters().tlb_l1_hits += chunks;
-    ctx_->Charge(chunks * c.tlb_l1_hit_cycles);
-  } else {
-    ctx_->counters().tlb_misses += chunks;
-    ctx_->counters().range_tlb_hits += chunks;
-    ctx_->Charge(chunks * c.range_tlb_hit_cycles);
-  }
-  ChargeDataTouch(pstart, head, type);
-  if (span > head) {
-    const uint64_t body = span - head;
-    const uint64_t whole = body / kPageSize;
-    const uint64_t tail = body % kPageSize;
-    if (whole > 0) {
-      // A full page is past the streaming threshold: same bulk branch as
-      // ChargeDataTouch, multiplied out.
-      const bool nvm = phys_->TierOf(pstart) == MemTier::kNvm;
-      uint64_t per_page = 0;
-      if (nvm) {
-        per_page = type == AccessType::kWrite ? c.NvmWriteBulkCycles(kPageSize)
-                                              : c.NvmReadBulkCycles(kPageSize);
-      } else {
-        per_page = c.DramBulkCycles(kPageSize);
-      }
-      ctx_->Charge(whole * per_page);
-    }
-    if (tail > 0) {
-      ChargeDataTouch(pstart, tail, type);
-    }
-  }
+  const uint64_t body = span - head;
+  ctx_->Charge(BookHits(f.page_backed, PageSpan(vaddr, span)) +
+               DataTouchCycles(pstart, head, type) +
+               body / kPageSize * DataTouchCycles(pstart, kPageSize, type) +
+               DataTouchCycles(pstart, body % kPageSize, type));
   *paddr_out = pstart;
   return span;
 }
 
-Status Mmu::TouchSlow(AddressSpace& as, Vaddr vaddr, uint64_t len, AccessType type) {
-  if (len == 0) {
-    return OkStatus();
-  }
+Status Mmu::AccessSlow(AddressSpace& as, Vaddr vaddr, uint64_t len, AccessType type,
+                       uint8_t* out, const uint8_t* in) {
+  // Bulk replay is byte-identical only while the injector is idle for the
+  // access kind. With poison armed, a batched read would charge every page
+  // before the poison check instead of failing mid-loop. A batched write
+  // folds N per-page NoteNvmWrite/ShadowBeforeWrite calls into one
+  // whole-span call, exact only while nothing is armed (no crash-point
+  // counting whose threshold could trip mid-span, no torn-persist sampling,
+  // no poison healing granularity). A charge-only Touch always batches.
+  const FaultInjector* inj = phys_->fault_injector();
+  const bool batchable = inj == nullptr || (out != nullptr ? !inj->has_poison()
+                                            : in == nullptr || inj->WriteBatchSafe());
   uint64_t done = 0;
   while (done < len) {
     const Vaddr cur = vaddr + done;
     Paddr pstart = 0;
-    if (const uint64_t span = TryBulkSpan(as, cur, len - done, type, &pstart); span > 0) {
-      done += span;
-      continue;
-    }
-    const uint64_t in_page = std::min<uint64_t>(kPageSize - (cur & (kPageSize - 1)), len - done);
-    auto t = Translate(as, cur, type);
-    if (!t.ok()) {
-      return t.status();
-    }
-    ChargeDataTouch(t->paddr, in_page, type);
-    done += in_page;
-  }
-  return OkStatus();
-}
-
-Status Mmu::ReadVirtSlow(AddressSpace& as, Vaddr vaddr, std::span<uint8_t> out) {
-  // With poison armed, a batched read would charge every page before the
-  // poison check instead of failing mid-loop; take the per-page path so
-  // fault-injection runs keep their exact charge sequence.
-  const FaultInjector* inj = phys_->fault_injector();
-  const bool batchable = inj == nullptr || !inj->has_poison();
-  uint64_t done = 0;
-  while (done < out.size()) {
-    const Vaddr cur = vaddr + done;
-    if (batchable) {
-      Paddr pstart = 0;
-      if (const uint64_t span = TryBulkSpan(as, cur, out.size() - done, AccessType::kRead, &pstart);
-          span > 0) {
-        O1_RETURN_IF_ERROR(phys_->ReadUncharged(pstart, out.subspan(done, span)));
-        done += span;
-        continue;
+    uint64_t n = batchable ? TryBulkSpan(as, cur, len - done, type, &pstart) : 0;
+    if (n == 0) {
+      n = std::min<uint64_t>(kPageSize - (cur & (kPageSize - 1)), len - done);
+      auto t = Translate(as, cur, type);
+      if (!t.ok()) {
+        return t.status();
       }
+      pstart = t->paddr;
+      ctx_->Charge(DataTouchCycles(pstart, n, type));
     }
-    const uint64_t in_page =
-        std::min<uint64_t>(kPageSize - (cur & (kPageSize - 1)), out.size() - done);
-    auto t = Translate(as, cur, AccessType::kRead);
-    if (!t.ok()) {
-      return t.status();
+    if (out != nullptr) {
+      O1_RETURN_IF_ERROR(phys_->ReadUncharged(pstart, std::span<uint8_t>(out + done, n)));
+    } else if (in != nullptr) {
+      O1_RETURN_IF_ERROR(phys_->WriteUncharged(pstart, std::span<const uint8_t>(in + done, n)));
     }
-    ChargeDataTouch(t->paddr, in_page, AccessType::kRead);
-    O1_RETURN_IF_ERROR(phys_->ReadUncharged(t->paddr, out.subspan(done, in_page)));
-    done += in_page;
-  }
-  return OkStatus();
-}
-
-Status Mmu::WriteVirtSlow(AddressSpace& as, Vaddr vaddr, std::span<const uint8_t> data) {
-  // Batched writes fold N per-page NoteNvmWrite/ShadowBeforeWrite calls into
-  // one whole-span call. That is only byte-identical while the injector has
-  // nothing armed (no crash-point counting whose threshold could trip
-  // mid-span, no torn-persist sampling, no poison healing granularity);
-  // otherwise take the per-page path.
-  const FaultInjector* inj = phys_->fault_injector();
-  const bool batchable = inj == nullptr || inj->WriteBatchSafe();
-  uint64_t done = 0;
-  while (done < data.size()) {
-    const Vaddr cur = vaddr + done;
-    if (batchable) {
-      Paddr pstart = 0;
-      if (const uint64_t span =
-              TryBulkSpan(as, cur, data.size() - done, AccessType::kWrite, &pstart);
-          span > 0) {
-        O1_RETURN_IF_ERROR(phys_->WriteUncharged(pstart, data.subspan(done, span)));
-        done += span;
-        continue;
-      }
-    }
-    const uint64_t in_page =
-        std::min<uint64_t>(kPageSize - (cur & (kPageSize - 1)), data.size() - done);
-    auto t = Translate(as, cur, AccessType::kWrite);
-    if (!t.ok()) {
-      return t.status();
-    }
-    ChargeDataTouch(t->paddr, in_page, AccessType::kWrite);
-    O1_RETURN_IF_ERROR(phys_->WriteUncharged(t->paddr, data.subspan(done, in_page)));
-    done += in_page;
+    done += n;
   }
   return OkStatus();
 }
@@ -411,6 +271,12 @@ void Mmu::ShootdownPage(Asid asid, Vaddr vaddr) {
 }
 
 void Mmu::ShootdownRange(Asid asid, Vaddr vaddr, uint64_t len) {
+  Shootdown(PendingInval{asid, vaddr, len, false});
+}
+
+void Mmu::ShootdownAsid(Asid asid) { Shootdown(PendingInval{asid, 0, 0, true}); }
+
+void Mmu::Shootdown(const PendingInval& inval) {
   const CostModel& c = ctx_->cost();
   const int self = ctx_->current_cpu();
   const uint64_t remotes = static_cast<uint64_t>(ctx_->num_cpus() - 1);
@@ -418,60 +284,26 @@ void Mmu::ShootdownRange(Asid asid, Vaddr vaddr, uint64_t len) {
   if (batched_) {
     // Invalidate locally now; remotes get a queued invalidation that the OS
     // flushes once per operation (or the remote drains before translating).
-    InvalidateOn(cpus_[static_cast<size_t>(self)], asid, vaddr, len);
-    ChargeShootdown(c.tlb_local_invalidate_cycles +
-                    remotes * c.shootdown_queue_cycles);
+    InvalidateOn(cpus_[static_cast<size_t>(self)], inval);
+    ChargeShootdown(c.tlb_local_invalidate_cycles + remotes * c.shootdown_queue_cycles);
     for (size_t i = 0; i < cpus_.size(); ++i) {
-      if (static_cast<int>(i) == self) {
-        continue;
+      if (static_cast<int>(i) != self) {
+        cpus_[i].pending.push_back(inval);
+        ctx_->counters().shootdown_invals_batched++;
       }
-      cpus_[i].pending.push_back(PendingInval{asid, vaddr, len, false});
-      ctx_->counters().shootdown_invals_batched++;
     }
     return;
   }
   // Eager: every CPU is interrupted now. With more than one CPU the
   // initiator pays one IPI per page per remote -- the linear cost batched
-  // mode amortizes away. At num_cpus == 1 this is the seed's flat charge.
+  // mode amortizes away -- while a whole-ASID flush is one operation
+  // however large the space is. At num_cpus == 1 this is a flat charge.
   for (CpuState& state : cpus_) {
-    InvalidateOn(state, asid, vaddr, len);
+    InvalidateOn(state, inval);
   }
-  const uint64_t ipis = PageSpan(vaddr, len) * remotes;
+  const uint64_t ipis = (inval.whole_asid ? 1 : PageSpan(inval.vaddr, inval.len)) * remotes;
   ChargeShootdown(c.tlb_shootdown_cycles + ipis * c.shootdown_ipi_cycles);
   ctx_->counters().shootdown_ipis_sent += ipis;
-}
-
-void Mmu::ShootdownAsid(Asid asid) {
-  const CostModel& c = ctx_->cost();
-  const int self = ctx_->current_cpu();
-  const uint64_t remotes = static_cast<uint64_t>(ctx_->num_cpus() - 1);
-  ctx_->counters().tlb_shootdowns++;
-  if (batched_) {
-    CpuState& me = cpus_[static_cast<size_t>(self)];
-    me.fast.valid = false;
-    me.l1_tlb.InvalidateAsid(asid);
-    me.l2_tlb.InvalidateAsid(asid);
-    me.range_tlb.InvalidateAsid(asid);
-    ChargeShootdown(c.tlb_local_invalidate_cycles +
-                    remotes * c.shootdown_queue_cycles);
-    for (size_t i = 0; i < cpus_.size(); ++i) {
-      if (static_cast<int>(i) == self) {
-        continue;
-      }
-      cpus_[i].pending.push_back(PendingInval{asid, 0, 0, true});
-      ctx_->counters().shootdown_invals_batched++;
-    }
-    return;
-  }
-  for (CpuState& state : cpus_) {
-    state.fast.valid = false;
-    state.l1_tlb.InvalidateAsid(asid);
-    state.l2_tlb.InvalidateAsid(asid);
-    state.range_tlb.InvalidateAsid(asid);
-  }
-  // A whole-ASID flush is one operation however large the space is.
-  ChargeShootdown(c.tlb_shootdown_cycles + remotes * c.shootdown_ipi_cycles);
-  ctx_->counters().shootdown_ipis_sent += remotes;
 }
 
 void Mmu::FlushPending() {

@@ -29,7 +29,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <list>
 #include <map>
 #include <span>
 #include <unordered_map>
@@ -79,7 +78,7 @@ class Mmu {
   // Data-moving accesses (used by examples and the OS read/write paths).
   // Defined inline below the class: the small-access fast path must flatten
   // into the caller for hot repeated accesses; everything else tail-calls
-  // the general out-of-line paths.
+  // the general out-of-line path.
   Status ReadVirt(AddressSpace& as, Vaddr vaddr, std::span<uint8_t> out);
   Status WriteVirt(AddressSpace& as, Vaddr vaddr, std::span<const uint8_t> data);
 
@@ -108,7 +107,8 @@ class Mmu {
   // the hardware prefetcher hides latency on longer runs.
   static constexpr uint64_t kStreamingThreshold = 256;
 
-  // One deferred invalidation queued on a remote CPU.
+  // One shootdown: a range of `asid`, or all of it. Queued as-is on remote
+  // CPUs in batched mode.
   struct PendingInval {
     Asid asid = 0;
     Vaddr vaddr = 0;
@@ -133,6 +133,10 @@ class Mmu {
     uint64_t bytes = 0;
     Paddr pbase = 0;
     Prot prot = Prot::kNone;
+
+    TranslationInfo At(Vaddr vaddr, TranslationInfo::Source source) const {
+      return TranslationInfo{.paddr = pbase + (vaddr - vbase), .prot = prot, .source = source};
+    }
   };
 
   // Translation state owned by one simulated CPU.
@@ -153,6 +157,48 @@ class Mmu {
 
   CpuState& cpu() { return cpus_[static_cast<size_t>(ctx_->current_cpu())]; }
 
+  // True when this CPU's fast entry may serve [vaddr, vaddr + len) for
+  // `type`. Queued invalidations force the slow path so DrainForTranslate
+  // keeps its exact charges; a protection mismatch takes the slow path too
+  // and traps there, unchanged.
+  bool Covers(AddressSpace& as, Vaddr vaddr, uint64_t len, AccessType type) {
+    const CpuState& hw = cpu();
+    const FastEntry& f = hw.fast;
+    return fastpath_ && f.valid && f.asid == as.asid() && vaddr >= f.vbase &&
+           (vaddr - f.vbase) + len <= f.bytes && HasProt(f.prot, RequiredProt(type)) &&
+           hw.pending.empty();
+  }
+
+  // Books `n` translation hits of the kind a fast entry stands for -- L1 TLB
+  // hits when page-backed, else an L1+L2 miss then a range-TLB hit -- and
+  // returns their cycles for the caller to Charge. The slow-path lookup and
+  // every fast-path replay price a hit here.
+  uint64_t BookHits(bool page_backed, uint64_t n) {
+    EventCounters& k = ctx_->counters();
+    if (page_backed) {
+      k.tlb_l1_hits += n;
+      return n * ctx_->cost().tlb_l1_hit_cycles;
+    }
+    k.tlb_misses += n;
+    k.range_tlb_hits += n;
+    return n * ctx_->cost().range_tlb_hit_cycles;
+  }
+
+  // The data-touch price of `len` bytes at `paddr`: the streaming rate from
+  // kStreamingThreshold bytes up, the per-cache-line demand rate below, by
+  // tier and access kind. Pure; a zero-length touch costs nothing.
+  uint64_t DataTouchCycles(Paddr paddr, uint64_t len, AccessType type) const {
+    const CostModel& c = ctx_->cost();
+    const bool nvm = phys_->TierOf(paddr) == MemTier::kNvm;
+    const bool write = type == AccessType::kWrite;
+    if (len >= kStreamingThreshold) {
+      return !nvm ? c.DramBulkCycles(len)
+                  : (write ? c.NvmWriteBulkCycles(len) : c.NvmReadBulkCycles(len));
+    }
+    return (len + 63) / 64 *
+           (!nvm ? c.dram_access_cycles : (write ? c.nvm_write_cycles : c.nvm_read_cycles));
+  }
+
   // Small-access fast path shared by Touch/ReadVirt/WriteVirt: when `len`
   // bytes at `vaddr` sit inside the current fast span, one page, and one
   // already-materialized frame with no injector or shadow tracking in play
@@ -166,11 +212,12 @@ class Mmu {
   uint8_t* FastDataPrologue(AddressSpace& as, Vaddr vaddr, uint64_t len, AccessType type,
                             bool moves_data);
 
-  // General chunking paths behind the inline Touch/ReadVirt/WriteVirt
-  // wrappers.
-  Status TouchSlow(AddressSpace& as, Vaddr vaddr, uint64_t len, AccessType type);
-  Status ReadVirtSlow(AddressSpace& as, Vaddr vaddr, std::span<uint8_t> out);
-  Status WriteVirtSlow(AddressSpace& as, Vaddr vaddr, std::span<const uint8_t> data);
+  // The general chunk loop behind Touch/ReadVirt/WriteVirt: each chunk is
+  // either a bulk replay of the fast span (TryBulkSpan) or one page
+  // translated and touched. Reads fill `out`, writes copy from `in`; both
+  // null = charge-only Touch.
+  Status AccessSlow(AddressSpace& as, Vaddr vaddr, uint64_t len, AccessType type, uint8_t* out,
+                    const uint8_t* in);
 
   // One translation attempt with no fault handling; nullopt = no mapping.
   std::optional<TranslationInfo> TryTranslate(AddressSpace& as, Vaddr vaddr);
@@ -181,22 +228,22 @@ class Mmu {
   // PWC: true (and refresh) if the 2 MiB region's upper levels are cached.
   bool PwcLookupOrInsert(Asid asid, Vaddr vaddr);
 
-  void ChargeDataTouch(Paddr paddr, uint64_t len, AccessType type);
-
-  // Fast-path hit: replay the slow path's charges + counters for one access
-  // inside the cached span and return the translation.
+  // Charges one hit on `fast` and returns the translation of `vaddr`.
   TranslationInfo ReplayFastHit(const FastEntry& fast, Vaddr vaddr);
 
-  // Bulk fast path for Touch/ReadVirt/WriteVirt: if the cached span covers
+  // Bulk fast path for the chunk loop: if the cached span covers
   // [vaddr, vaddr + min(len, span)) with sufficient protection, charges the
   // exact per-page translation + data-touch sequence the loop would have
-  // produced and returns the number of bytes covered (0 = take the per-page
-  // loop). `*paddr_out` gets the physical start of the covered run.
+  // produced and returns the number of bytes covered (0 = translate one
+  // page instead). `*paddr_out` gets the physical start of the covered run.
   uint64_t TryBulkSpan(AddressSpace& as, Vaddr vaddr, uint64_t len, AccessType type,
                        Paddr* paddr_out);
 
   // Charge() that also books the cycles under counters().shootdown_cycles.
   void ChargeShootdown(uint64_t cycles);
+
+  // The one shootdown body behind ShootdownRange/ShootdownAsid.
+  void Shootdown(const PendingInval& inval);
 
   // Applies and clears every queued invalidation of `state`.
   void ApplyPending(CpuState& state);
@@ -205,8 +252,8 @@ class Mmu {
   // invalidations touching `asid`, drain its whole queue before looking up.
   void DrainForTranslate(Asid asid);
 
-  // Invalidates [vaddr, vaddr+len) of `asid` in one CPU's TLBs.
-  static void InvalidateOn(CpuState& state, Asid asid, Vaddr vaddr, uint64_t len);
+  // Applies one invalidation to one CPU's TLBs and clears its fast entry.
+  static void InvalidateOn(CpuState& state, const PendingInval& inval);
 
   SimContext* ctx_;
   PhysicalMemory* phys_;
@@ -218,52 +265,22 @@ class Mmu {
 
 inline uint8_t* Mmu::FastDataPrologue(AddressSpace& as, Vaddr vaddr, uint64_t len,
                                       AccessType type, bool moves_data) {
-  if (!fastpath_ || len == 0) {
+  // The in-page test also rejects any len > kPageSize.
+  if (len == 0 || (vaddr & (kPageSize - 1)) + len > kPageSize || !Covers(as, vaddr, len, type)) {
     return nullptr;
   }
-  CpuState& hw = cpu();
-  const FastEntry& f = hw.fast;
-  // The in-page test ((vaddr % page) + len > page) also rejects any
-  // len > kPageSize, so no separate length bound is needed.
-  if (!f.valid || f.asid != as.asid() || vaddr < f.vbase || (vaddr - f.vbase) + len > f.bytes ||
-      !HasProt(f.prot, RequiredProt(type)) || !hw.pending.empty() ||
-      (vaddr & (kPageSize - 1)) + len > kPageSize) {
-    return nullptr;
-  }
+  const FastEntry& f = cpu().fast;
   const Paddr pstart = f.pbase + (vaddr - f.vbase);
   uint8_t* host = phys_->FastSpan(pstart, len, type);
   if (host == nullptr) {
     return nullptr;
   }
-  const bool nvm = phys_->TierOf(pstart) == MemTier::kNvm;
-  if (moves_data && nvm && type == AccessType::kWrite) {
+  if (moves_data && type == AccessType::kWrite && phys_->TierOf(pstart) == MemTier::kNvm) {
     phys_->AccountFastNvmLineWrites(pstart, len);
   }
-  // Replay the general path's charges for a single in-page chunk: one
-  // translation hit (TryBulkSpan's per-chunk shape) plus the data touch,
-  // folded into a single Charge (addition commutes; redirect sinks add too).
-  const CostModel& c = ctx_->cost();
-  uint64_t cycles = 0;
-  if (f.page_backed) {
-    ctx_->counters().tlb_l1_hits++;
-    cycles = c.tlb_l1_hit_cycles;
-  } else {
-    ctx_->counters().tlb_misses++;
-    ctx_->counters().range_tlb_hits++;
-    cycles = c.range_tlb_hit_cycles;
-  }
-  if (len >= kStreamingThreshold) {
-    if (nvm) {
-      cycles += type == AccessType::kWrite ? c.NvmWriteBulkCycles(len) : c.NvmReadBulkCycles(len);
-    } else {
-      cycles += c.DramBulkCycles(len);
-    }
-  } else {
-    const uint64_t lines = (len + 63) / 64;
-    cycles += lines * (nvm ? (type == AccessType::kWrite ? c.nvm_write_cycles : c.nvm_read_cycles)
-                           : c.dram_access_cycles);
-  }
-  ctx_->Charge(cycles);
+  // The chunk loop's charges for one in-page chunk, folded into a single
+  // Charge (addition commutes; redirect sinks add too).
+  ctx_->Charge(BookHits(f.page_backed, 1) + DataTouchCycles(pstart, len, type));
   return host;
 }
 
@@ -271,7 +288,7 @@ inline Status Mmu::Touch(AddressSpace& as, Vaddr vaddr, uint64_t len, AccessType
   if (FastDataPrologue(as, vaddr, len, type, /*moves_data=*/false) != nullptr) {
     return OkStatus();
   }
-  return TouchSlow(as, vaddr, len, type);
+  return AccessSlow(as, vaddr, len, type, nullptr, nullptr);
 }
 
 inline Status Mmu::ReadVirt(AddressSpace& as, Vaddr vaddr, std::span<uint8_t> out) {
@@ -280,7 +297,7 @@ inline Status Mmu::ReadVirt(AddressSpace& as, Vaddr vaddr, std::span<uint8_t> ou
     std::memcpy(out.data(), host, out.size());
     return OkStatus();
   }
-  return ReadVirtSlow(as, vaddr, out);
+  return AccessSlow(as, vaddr, out.size(), AccessType::kRead, out.data(), nullptr);
 }
 
 inline Status Mmu::WriteVirt(AddressSpace& as, Vaddr vaddr, std::span<const uint8_t> data) {
@@ -289,7 +306,7 @@ inline Status Mmu::WriteVirt(AddressSpace& as, Vaddr vaddr, std::span<const uint
     std::memcpy(host, data.data(), data.size());
     return OkStatus();
   }
-  return WriteVirtSlow(as, vaddr, data);
+  return AccessSlow(as, vaddr, data.size(), AccessType::kWrite, nullptr, data.data());
 }
 
 }  // namespace o1mem

@@ -164,7 +164,7 @@ TEST_F(FomEdgeTest, SpliceFixedVaddrMisalignmentRejected) {
   ASSERT_TRUE(inode.ok());
   auto bad = fom_.Map(*proc_, *inode, Prot::kRead,
                       MapOptions{.mechanism = MapMechanism::kPtSplice,
-                                 .fixed_vaddr = fom_.config().map_region_base + kPageSize});
+                                 .fixed_vaddr = FomManager::kMapRegionBase + kPageSize});
   EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
 }
 

@@ -210,10 +210,10 @@ TEST_F(FomTest, PbmGivesSameVaddrInEveryProcess) {
                      MapOptions{.mechanism = MapMechanism::kPbm});
   ASSERT_TRUE(v1.ok() && v2.ok());
   EXPECT_EQ(*v1, *v2);  // Sec. 4.2: guaranteed common address
-  // And it equals pbm_base + physical address.
+  // And it equals kPbmBase + physical address.
   auto extents = pmfs_.Extents(*inode);
   ASSERT_TRUE(extents.ok());
-  EXPECT_EQ(*v1, fom_.config().pbm_base + extents->front().paddr);
+  EXPECT_EQ(*v1, FomManager::kPbmBase + extents->front().paddr);
 }
 
 TEST_F(FomTest, PbmMappingsOfDistinctFilesNeverCollide) {
@@ -318,7 +318,7 @@ TEST_F(FomTest, FixedVaddrMappingAndOverlapRejection) {
   auto a = fom_.CreateSegment("/seg/f1", kMiB);
   auto b = fom_.CreateSegment("/seg/f2", kMiB);
   ASSERT_TRUE(a.ok() && b.ok());
-  const Vaddr fixed = fom_.config().map_region_base + 16 * kMiB;
+  const Vaddr fixed = FomManager::kMapRegionBase + 16 * kMiB;
   auto v1 = fom_.Map(*proc_, *a, Prot::kRead,
                      MapOptions{.mechanism = MapMechanism::kRangeTable, .fixed_vaddr = fixed});
   ASSERT_TRUE(v1.ok());

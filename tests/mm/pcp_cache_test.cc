@@ -53,7 +53,7 @@ TEST(PcpCacheTest, CacheServesAtLeastNinetyPercentOfAllocs) {
   }
   const EventCounters& c = m.ctx().counters();
   EXPECT_EQ(c.frames_from_pcp + c.frames_from_buddy, static_cast<uint64_t>(kAllocs));
-  // One buddy batch-refill per pcp_batch allocs: 60/64 served by the cache.
+  // One buddy batch-refill per kPcpBatch allocs: 60/64 served by the cache.
   EXPECT_GE(static_cast<double>(c.frames_from_pcp) / kAllocs, 0.90);
 }
 
@@ -132,7 +132,7 @@ TEST(PcpCacheTest, FreeBytesCountsCachesAndPool) {
 TEST(PcpCacheTest, HighWatermarkDrainsBackToBuddy) {
   Machine m(SmpMachineConfig(2, /*pcp=*/true, /*prezero=*/false));
   PhysManager mgr(&m);
-  const int over = m.ctx().smp().pcp_high_watermark + 8;
+  const int over = PhysManager::kPcpHighWatermark + 8;
   std::vector<Paddr> held;
   for (int i = 0; i < over; ++i) {
     auto f = mgr.AllocFrame(/*zero=*/false);
@@ -143,7 +143,7 @@ TEST(PcpCacheTest, HighWatermarkDrainsBackToBuddy) {
     ASSERT_TRUE(mgr.FreeFrame(f).ok());
   }
   EXPECT_LE(mgr.cpu_cache_frames(0),
-            static_cast<size_t>(m.ctx().smp().pcp_high_watermark));
+            static_cast<size_t>(PhysManager::kPcpHighWatermark));
 }
 
 TEST(PcpCacheTest, ReplenishLeavesBuddyReserve) {
@@ -157,7 +157,7 @@ TEST(PcpCacheTest, ReplenishLeavesBuddyReserve) {
   // The guard is checked per batch, so the floor is reserve minus one batch.
   const uint64_t reserve = mgr.buddy().total_bytes() / 4;
   const uint64_t batch_bytes =
-      static_cast<uint64_t>(m.ctx().smp().pcp_batch) * kPageSize;
+      static_cast<uint64_t>(PhysManager::kPcpBatch) * kPageSize;
   EXPECT_GE(mgr.buddy().free_bytes() + batch_bytes, reserve);
 }
 

@@ -294,8 +294,8 @@ TEST(CausalTraceTest, ReservoirMemoryIsBoundedUnderLongRuns) {
   (void)service.Run();
   Observer& obs = sys.machine().observer();
   ASSERT_NE(obs.exemplars(), nullptr);
-  const uint32_t per_bucket = obs.config().exemplar_per_bucket;
-  const uint32_t max_events = obs.config().exemplar_max_events;
+  const uint32_t per_bucket = Observer::kExemplarPerBucket;
+  const uint32_t max_events = Observer::kExemplarMaxEvents;
   size_t total = 0;
   obs.exemplars()->ForEach([&](const Exemplar& e) {
     ++total;
