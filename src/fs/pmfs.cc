@@ -3,11 +3,11 @@
 #include "src/obs/span.h"
 
 #include <algorithm>
-#include <cstring>
 #include <tuple>
 
 #include "src/sim/fault_injector.h"
 #include "src/support/crc32.h"
+#include "src/support/le_bytes.h"
 
 namespace o1mem {
 
@@ -15,7 +15,7 @@ namespace {
 
 // --- journal wire format ----------------------------------------------------
 //
-// Record = 24 B header + payload, padded to 8 B:
+// Record = 24 B header + payload, padded to 8 B (all integers little-endian):
 //   off  0  u32  len   (whole record, multiple of 8, >= 24)
 //   off  4  u32  crc   (CRC-32 of the record with this field zeroed)
 //   off  8  u64  generation
@@ -25,79 +25,39 @@ namespace {
 // A len of 0 is the end-of-journal sentinel; a generation mismatch marks
 // stale bytes from the slot's previous life; a CRC mismatch or unreadable
 // line marks a torn/decayed tail.
+//
+// Each op's payload is listed at Pmfs::Fields, the one codec for it.
 
 constexpr uint64_t kRecordHeaderBytes = 24;
 constexpr uint64_t kSuperblockMagic = 0x4f31504d46533142ull;  // "O1PMFS1B"
 constexpr uint32_t kSuperblockVersion = 1;
 
-void PutU16(std::vector<uint8_t>& v, uint16_t x) {
-  v.push_back(static_cast<uint8_t>(x));
-  v.push_back(static_cast<uint8_t>(x >> 8));
-}
-
-void PutU64(std::vector<uint8_t>& v, uint64_t x) {
-  for (int i = 0; i < 8; ++i) {
-    v.push_back(static_cast<uint8_t>(x >> (8 * i)));
-  }
-}
-
-void PutStr(std::vector<uint8_t>& v, std::string_view s) {
-  O1_CHECK_MSG(s.size() <= 0xFFFF, "pmfs path too long for journal record");
-  PutU16(v, static_cast<uint16_t>(s.size()));
-  v.insert(v.end(), s.begin(), s.end());
-}
-
-uint16_t LoadU16(const uint8_t* p) { return static_cast<uint16_t>(p[0] | (p[1] << 8)); }
-
-uint32_t LoadU32(const uint8_t* p) {
-  uint32_t x = 0;
-  for (int i = 3; i >= 0; --i) {
-    x = (x << 8) | p[i];
-  }
-  return x;
-}
-
-uint64_t LoadU64(const uint8_t* p) {
-  uint64_t x = 0;
-  for (int i = 7; i >= 0; --i) {
-    x = (x << 8) | p[i];
-  }
-  return x;
-}
-
-void StoreU32(uint8_t* p, uint32_t x) {
-  for (int i = 0; i < 4; ++i) {
-    p[i] = static_cast<uint8_t>(x >> (8 * i));
-  }
-}
-
-void StoreU64(uint8_t* p, uint64_t x) {
-  for (int i = 0; i < 8; ++i) {
-    p[i] = static_cast<uint8_t>(x >> (8 * i));
-  }
-}
-
-std::vector<uint8_t> BeginRecord(uint8_t op) {
-  std::vector<uint8_t> v(kRecordHeaderBytes, 0);
-  v[16] = op;
-  return v;
-}
-
-std::vector<uint8_t> FinishRecord(std::vector<uint8_t> v) {
-  while (v.size() % 8 != 0) {
-    v.push_back(0);
-  }
-  StoreU32(v.data(), static_cast<uint32_t>(v.size()));
-  return v;
-}
-
 // Stamps generation and CRC; must be the last mutation before the bytes
 // reach NVM.
 void StampRecord(std::vector<uint8_t>& rec, uint64_t generation) {
-  StoreU64(rec.data() + 8, generation);
-  StoreU32(rec.data() + 4, 0);
-  StoreU32(rec.data() + 4, Crc32(rec));
+  StoreLe<uint64_t>(rec.data() + 8, generation);
+  StoreLe<uint32_t>(rec.data() + 4, 0);
+  StoreLe<uint32_t>(rec.data() + 4, Crc32(rec));
 }
+
+// Payload appender: the Io that Encode runs Pmfs::Fields with.
+struct Writer {
+  std::vector<uint8_t>& v;
+
+  void U64(uint64_t x) { AppendLe(v, x); }
+  template <class... Bits>
+  void Flags(Bits... bits) {
+    uint8_t f = 0;
+    int i = 0;
+    ((f |= static_cast<uint8_t>((bits ? 1 : 0) << i++)), ...);
+    v.push_back(f);
+  }
+  void Str(std::string_view s) {
+    O1_CHECK_MSG(s.size() <= 0xFFFF, "pmfs path too long for journal record");
+    AppendLe(v, static_cast<uint16_t>(s.size()));
+    v.insert(v.end(), s.begin(), s.end());
+  }
+};
 
 // Bounds-checked payload reader; any overrun poisons the whole decode.
 struct Reader {
@@ -106,44 +66,113 @@ struct Reader {
   uint64_t off = 0;
   bool fail = false;
 
-  uint16_t U16() {
-    if (off + 2 > len) {
-      fail = true;
-      return 0;
-    }
-    const uint16_t x = LoadU16(p + off);
-    off += 2;
-    return x;
-  }
-  uint64_t U64() {
-    if (off + 8 > len) {
-      fail = true;
-      return 0;
-    }
-    const uint64_t x = LoadU64(p + off);
-    off += 8;
-    return x;
-  }
-  uint8_t U8() {
-    if (off + 1 > len) {
-      fail = true;
-      return 0;
-    }
-    return p[off++];
-  }
-  std::string Str() {
-    const uint16_t n = U16();
+  // The next `n` bytes, or nullptr (and fail) on overrun.
+  const uint8_t* Take(uint64_t n) {
     if (fail || off + n > len) {
       fail = true;
-      return {};
+      return nullptr;
     }
-    std::string s(reinterpret_cast<const char*>(p + off), n);
     off += n;
-    return s;
+    return p + off - n;
+  }
+  void U64(uint64_t& x) {
+    if (const uint8_t* at = Take(8)) {
+      x = LoadLe<uint64_t>(at);
+    }
+  }
+  template <class... Bits>
+  void Flags(Bits&... bits) {
+    if (const uint8_t* at = Take(1)) {
+      int i = 0;
+      ((bits = ((*at >> i++) & 1) != 0), ...);
+    }
+  }
+  void Str(std::string& s) {
+    const uint8_t* n = Take(2);
+    const uint16_t size = n != nullptr ? LoadLe<uint16_t>(n) : 0;
+    if (const uint8_t* at = Take(size)) {
+      s.assign(reinterpret_cast<const char*>(at), size);
+    }
   }
 };
 
 }  // namespace
+
+// Record payloads (str = u16 length + bytes; flags = u8, bit i = the i-th
+// listed bool):
+//   kCreate       u64 inode, flags(persistent, discardable, quarantined), str path
+//   kUnlink       str path
+//   kResize       u64 inode, u64 size
+//   kSetFlags     u64 inode, flags(persistent)
+//   kAllocExtent  u64 inode, u64 file_offset, u64 block, u64 blocks
+//   kMkdir        str path
+//   kRmdir        str path
+//   kRename       str from, str to
+//   kLink         u64 inode, str path
+// This switch is the only code that knows them: Encode runs it with a
+// Writer, Decode with a Reader.
+template <class Io, class Rec>
+void Pmfs::Fields(Io& io, Rec& r) {
+  switch (r.op) {
+    case JournalOp::kCreate:
+      io.U64(r.inode);
+      io.Flags(r.persistent, r.discardable, r.quarantined);
+      io.Str(r.path1);
+      break;
+    case JournalOp::kUnlink:
+    case JournalOp::kMkdir:
+    case JournalOp::kRmdir:
+      io.Str(r.path1);
+      break;
+    case JournalOp::kRename:
+      io.Str(r.path1);
+      io.Str(r.path2);
+      break;
+    case JournalOp::kLink:
+      io.U64(r.inode);
+      io.Str(r.path1);
+      break;
+    case JournalOp::kResize:
+      io.U64(r.inode);
+      io.U64(r.size);
+      break;
+    case JournalOp::kSetFlags:
+      io.U64(r.inode);
+      io.Flags(r.persistent);
+      break;
+    case JournalOp::kAllocExtent:
+      io.U64(r.inode);
+      io.U64(r.file_offset);
+      io.U64(r.block);
+      io.U64(r.blocks);
+      break;
+  }
+}
+
+std::vector<uint8_t> Pmfs::Encode(const JournalRecord& r) {
+  std::vector<uint8_t> v(kRecordHeaderBytes, 0);
+  v[16] = static_cast<uint8_t>(r.op);
+  Writer w{v};
+  Fields(w, r);
+  v.resize(AlignUp(v.size(), 8), 0);
+  StoreLe(v.data(), static_cast<uint32_t>(v.size()));
+  return v;
+}
+
+std::optional<Pmfs::JournalRecord> Pmfs::Decode(std::span<const uint8_t> bytes) {
+  const uint8_t op = bytes[16];
+  if (op < static_cast<uint8_t>(JournalOp::kCreate) ||
+      op > static_cast<uint8_t>(JournalOp::kLink)) {
+    return std::nullopt;
+  }
+  JournalRecord r{.op = static_cast<JournalOp>(op)};
+  Reader rd{bytes.data() + kRecordHeaderBytes, bytes.size() - kRecordHeaderBytes};
+  Fields(rd, r);
+  if (rd.fail) {
+    return std::nullopt;
+  }
+  return r;
+}
 
 Pmfs::Pmfs(Machine* machine, Paddr region_base, uint64_t region_bytes, ZeroPolicy zero_policy)
     : machine_(machine),
@@ -190,13 +219,13 @@ void Pmfs::Format() {
 
 Status Pmfs::WriteSuperblock(uint32_t active_slot, uint64_t generation) {
   std::array<uint8_t, 64> line{};
-  StoreU64(line.data(), kSuperblockMagic);
-  StoreU32(line.data() + 8, kSuperblockVersion);
-  StoreU32(line.data() + 12, active_slot);
-  StoreU64(line.data() + 16, generation);
-  StoreU64(line.data() + 24, slot_blocks_);
-  StoreU64(line.data() + 32, region_bytes_ >> kPageShift);
-  StoreU32(line.data() + 60, Crc32(std::span<const uint8_t>(line.data(), 60)));
+  StoreLe<uint64_t>(line.data(), kSuperblockMagic);
+  StoreLe<uint32_t>(line.data() + 8, kSuperblockVersion);
+  StoreLe<uint32_t>(line.data() + 12, active_slot);
+  StoreLe<uint64_t>(line.data() + 16, generation);
+  StoreLe<uint64_t>(line.data() + 24, slot_blocks_);
+  StoreLe<uint64_t>(line.data() + 32, region_bytes_ >> kPageShift);
+  StoreLe<uint32_t>(line.data() + 60, Crc32(std::span<const uint8_t>(line.data(), 60)));
   O1_RETURN_IF_ERROR(machine_->phys().Write(region_base_, line));
   return machine_->phys().FlushLines(region_base_, 64);
 }
@@ -204,19 +233,19 @@ Status Pmfs::WriteSuperblock(uint32_t active_slot, uint64_t generation) {
 Result<std::pair<uint32_t, uint64_t>> Pmfs::ReadSuperblock() {
   std::array<uint8_t, 64> line{};
   O1_RETURN_IF_ERROR(machine_->phys().Read(region_base_, line));
-  if (LoadU32(line.data() + 60) != Crc32(std::span<const uint8_t>(line.data(), 60))) {
+  if (LoadLe<uint32_t>(line.data() + 60) != Crc32(std::span<const uint8_t>(line.data(), 60))) {
     return Corruption("pmfs superblock checksum mismatch");
   }
-  if (LoadU64(line.data()) != kSuperblockMagic ||
-      LoadU32(line.data() + 8) != kSuperblockVersion) {
+  if (LoadLe<uint64_t>(line.data()) != kSuperblockMagic ||
+      LoadLe<uint32_t>(line.data() + 8) != kSuperblockVersion) {
     return Corruption("pmfs superblock magic/version mismatch");
   }
-  const uint32_t active = LoadU32(line.data() + 12);
-  if (active > 1 || LoadU64(line.data() + 24) != slot_blocks_ ||
-      LoadU64(line.data() + 32) != (region_bytes_ >> kPageShift)) {
+  const uint32_t active = LoadLe<uint32_t>(line.data() + 12);
+  if (active > 1 || LoadLe<uint64_t>(line.data() + 24) != slot_blocks_ ||
+      LoadLe<uint64_t>(line.data() + 32) != (region_bytes_ >> kPageShift)) {
     return Corruption("pmfs superblock names a different geometry");
   }
-  return std::make_pair(active, LoadU64(line.data() + 16));
+  return std::make_pair(active, LoadLe<uint64_t>(line.data() + 16));
 }
 
 Status Pmfs::ReserveJournal(uint64_t len) {
@@ -228,6 +257,12 @@ Status Pmfs::ReserveJournal(uint64_t len) {
     return QuotaExceeded("pmfs journal slot cannot hold live metadata plus record");
   }
   return OkStatus();
+}
+
+Result<std::vector<uint8_t>> Pmfs::Prepare(const JournalRecord& r) {
+  std::vector<uint8_t> rec = Encode(r);
+  O1_RETURN_IF_ERROR(ReserveJournal(rec.size()));
+  return rec;
 }
 
 Status Pmfs::AppendRecord(std::vector<uint8_t>& rec) {
@@ -246,15 +281,14 @@ Status Pmfs::AppendRecord(std::vector<uint8_t>& rec) {
 
 std::vector<uint8_t> Pmfs::EncodeSnapshot(uint64_t generation) const {
   std::vector<uint8_t> buf;
-  auto emit = [&](std::vector<uint8_t> rec) {
+  auto emit = [&](const JournalRecord& r) {
+    std::vector<uint8_t> rec = Encode(r);
     StampRecord(rec, generation);
     buf.insert(buf.end(), rec.begin(), rec.end());
   };
   // Directories first, sorted, so parents precede children at replay.
   for (const std::string& dir : ns_.AllDirs()) {
-    auto rec = BeginRecord(static_cast<uint8_t>(JournalOp::kMkdir));
-    PutStr(rec, dir);
-    emit(FinishRecord(std::move(rec)));
+    emit({.op = JournalOp::kMkdir, .path1 = dir});
   }
   // One create per inode (its first path), then extents, size, extra links.
   std::map<InodeId, std::vector<std::string>> paths;
@@ -263,41 +297,26 @@ std::vector<uint8_t> Pmfs::EncodeSnapshot(uint64_t generation) const {
   }
   for (const auto& [id, plist] : paths) {
     const Inode& inode = inodes_.at(id);
-    {
-      auto rec = BeginRecord(static_cast<uint8_t>(JournalOp::kCreate));
-      PutU64(rec, id);
-      rec.push_back(static_cast<uint8_t>((inode.flags.persistent ? 1 : 0) |
-                                         (inode.flags.discardable ? 2 : 0) |
-                                         (inode.quarantined ? 4 : 0)));
-      PutStr(rec, plist.front());
-      emit(FinishRecord(std::move(rec)));
-    }
+    emit({.op = JournalOp::kCreate,
+          .inode = id,
+          .persistent = inode.flags.persistent,
+          .discardable = inode.flags.discardable,
+          .quarantined = inode.quarantined,
+          .path1 = plist.front()});
     for (const FileExtent& e : inode.extents.Extents()) {
       // Quarantined files can hold garbage extents; only well-formed,
       // in-region ones are worth snapshotting.
-      if (e.paddr < AddrOf(meta_blocks_) ||
-          e.paddr + e.bytes > region_base_ + region_bytes_ ||
-          !IsAligned(e.paddr, kPageSize) || !IsAligned(e.bytes, kPageSize)) {
-        continue;
+      if (InDataArea(e)) {
+        emit({.op = JournalOp::kAllocExtent,
+              .inode = id,
+              .file_offset = e.file_offset,
+              .block = BlockOf(e.paddr),
+              .blocks = e.bytes >> kPageShift});
       }
-      auto rec = BeginRecord(static_cast<uint8_t>(JournalOp::kAllocExtent));
-      PutU64(rec, id);
-      PutU64(rec, e.file_offset);
-      PutU64(rec, BlockOf(e.paddr));
-      PutU64(rec, e.bytes >> kPageShift);
-      emit(FinishRecord(std::move(rec)));
     }
-    {
-      auto rec = BeginRecord(static_cast<uint8_t>(JournalOp::kResize));
-      PutU64(rec, id);
-      PutU64(rec, inode.size);
-      emit(FinishRecord(std::move(rec)));
-    }
+    emit({.op = JournalOp::kResize, .inode = id, .size = inode.size});
     for (size_t i = 1; i < plist.size(); ++i) {
-      auto rec = BeginRecord(static_cast<uint8_t>(JournalOp::kLink));
-      PutU64(rec, id);
-      PutStr(rec, plist[i]);
-      emit(FinishRecord(std::move(rec)));
+      emit({.op = JournalOp::kLink, .inode = id, .path1 = plist[i]});
     }
   }
   return buf;
@@ -327,60 +346,7 @@ Status Pmfs::Checkpoint() {
   return OkStatus();
 }
 
-std::optional<Pmfs::DecodedRecord> Pmfs::DecodeRecord(std::span<const uint8_t> bytes) const {
-  const uint8_t op_raw = bytes[16];
-  if (op_raw < static_cast<uint8_t>(JournalOp::kCreate) ||
-      op_raw > static_cast<uint8_t>(JournalOp::kLink)) {
-    return std::nullopt;
-  }
-  DecodedRecord r;
-  r.op = static_cast<JournalOp>(op_raw);
-  Reader rd{bytes.data() + kRecordHeaderBytes, bytes.size() - kRecordHeaderBytes};
-  switch (r.op) {
-    case JournalOp::kCreate: {
-      r.inode = rd.U64();
-      const uint8_t flags = rd.U8();
-      r.persistent = (flags & 1) != 0;
-      r.discardable = (flags & 2) != 0;
-      r.quarantined = (flags & 4) != 0;
-      r.path1 = rd.Str();
-      break;
-    }
-    case JournalOp::kUnlink:
-    case JournalOp::kMkdir:
-    case JournalOp::kRmdir:
-      r.path1 = rd.Str();
-      break;
-    case JournalOp::kRename:
-      r.path1 = rd.Str();
-      r.path2 = rd.Str();
-      break;
-    case JournalOp::kLink:
-      r.inode = rd.U64();
-      r.path1 = rd.Str();
-      break;
-    case JournalOp::kResize:
-      r.inode = rd.U64();
-      r.a = rd.U64();
-      break;
-    case JournalOp::kSetFlags:
-      r.inode = rd.U64();
-      r.persistent = rd.U8() != 0;
-      break;
-    case JournalOp::kAllocExtent:
-      r.inode = rd.U64();
-      r.a = rd.U64();
-      r.b = rd.U64();
-      r.c = rd.U64();
-      break;
-  }
-  if (rd.fail) {
-    return std::nullopt;
-  }
-  return r;
-}
-
-void Pmfs::ApplyRecord(const DecodedRecord& r) {
+void Pmfs::ApplyRecord(const JournalRecord& r) {
   switch (r.op) {
     case JournalOp::kCreate: {
       Inode inode(&machine_->ctx());
@@ -397,32 +363,16 @@ void Pmfs::ApplyRecord(const DecodedRecord& r) {
       next_inode_ = std::max(next_inode_, r.inode + 1);
       break;
     }
-    case JournalOp::kUnlink: {
-      auto removed = ns_.RemoveFile(r.path1);
-      if (!removed.ok()) {
-        return;
-      }
-      auto it = inodes_.find(*removed);
-      if (it == inodes_.end()) {
-        return;
-      }
-      if (it->second.links > 0) {
-        it->second.links--;
-      }
-      if (it->second.links == 0) {
-        // Extents vanish with the inode; the bitmap rebuild reclaims the
-        // blocks and the kZeroEpoch re-zero pass clears them.
-        inodes_.erase(it);
-      }
+    case JournalOp::kUnlink:
+      (void)DropName(r.path1);
       break;
-    }
     case JournalOp::kResize: {
       auto it = inodes_.find(r.inode);
       if (it == inodes_.end()) {
         return;
       }
-      it->second.size = r.a;
-      const uint64_t keep = AlignUp(r.a, kPageSize);
+      it->second.size = r.size;
+      const uint64_t keep = AlignUp(r.size, kPageSize);
       if (keep < it->second.extents.mapped_bytes()) {
         (void)it->second.extents.TruncateFrom(keep);
       }
@@ -440,7 +390,7 @@ void Pmfs::ApplyRecord(const DecodedRecord& r) {
       if (it == inodes_.end()) {
         return;
       }
-      (void)it->second.extents.Insert(r.a, AddrOf(r.b), r.c << kPageShift);
+      (void)it->second.extents.Insert(r.file_offset, AddrOf(r.block), r.blocks << kPageShift);
       break;
     }
     case JournalOp::kMkdir: {
@@ -471,6 +421,26 @@ void Pmfs::ApplyRecord(const DecodedRecord& r) {
   }
 }
 
+bool Pmfs::DropName(const std::string& path) {
+  auto removed = ns_.RemoveFile(path);
+  if (!removed.ok()) {
+    return false;
+  }
+  auto it = inodes_.find(*removed);
+  if (it == inodes_.end()) {
+    return true;  // later hard link to an already-torn-down inode
+  }
+  if (it->second.links > 0) {
+    it->second.links--;
+  }
+  if (it->second.links == 0) {
+    // Extents vanish with the inode; the bitmap rebuild reclaims the
+    // blocks and the kZeroEpoch re-zero pass clears them.
+    inodes_.erase(it);
+  }
+  return true;
+}
+
 Pmfs::SlotProbe Pmfs::ParseSlot(uint32_t slot, bool apply, uint64_t expect_generation) {
   SlotProbe probe;
   const Paddr base = SlotBase(slot);
@@ -483,7 +453,7 @@ Pmfs::SlotProbe Pmfs::ParseSlot(uint32_t slot, bool apply, uint64_t expect_gener
       probe.truncated = true;  // unreadable line mid-journal
       break;
     }
-    const uint32_t len = LoadU32(head.data());
+    const uint32_t len = LoadLe<uint32_t>(head.data());
     if (len == 0) {
       break;  // clean end sentinel
     }
@@ -496,20 +466,20 @@ Pmfs::SlotProbe Pmfs::ParseSlot(uint32_t slot, bool apply, uint64_t expect_gener
       probe.truncated = true;
       break;
     }
-    const uint32_t stored_crc = LoadU32(rec.data() + 4);
-    StoreU32(rec.data() + 4, 0);
+    const uint32_t stored_crc = LoadLe<uint32_t>(rec.data() + 4);
+    StoreLe<uint32_t>(rec.data() + 4, 0);
     if (Crc32(rec) != stored_crc) {
       probe.truncated = true;  // torn or decayed record
       break;
     }
-    const uint64_t gen = LoadU64(rec.data() + 8);
+    const uint64_t gen = LoadLe<uint64_t>(rec.data() + 8);
     if (expect_generation == 0) {
       expect_generation = gen;  // probe mode: first record names the slot
     }
     if (gen != expect_generation) {
       break;  // stale bytes from the slot's previous generation
     }
-    auto decoded = DecodeRecord(rec);
+    auto decoded = Decode(rec);
     if (!decoded.has_value()) {
       probe.truncated = true;
       break;
@@ -535,10 +505,15 @@ Result<Pmfs::Inode*> Pmfs::Get(InodeId id) {
   return &it->second;
 }
 
-Result<Pmfs::Inode*> Pmfs::GetWritable(InodeId id) {
+Status Pmfs::CheckWritable() const {
   if (mount_mode_ == MountMode::kDegraded) {
     return ReadOnlyError("pmfs degraded (read-only): " + degrade_reason_);
   }
+  return OkStatus();
+}
+
+Result<Pmfs::Inode*> Pmfs::GetWritable(InodeId id) {
+  O1_RETURN_IF_ERROR(CheckWritable());
   O1_ASSIGN_OR_RETURN(Inode * inode, Get(id));
   if (inode->quarantined) {
     return MediaError("pmfs file quarantined");
@@ -556,18 +531,15 @@ void Pmfs::Degrade(std::string reason) {
 // --- namespace ops ----------------------------------------------------------
 
 Result<InodeId> Pmfs::Create(std::string_view path, const FileFlags& flags) {
-  if (mount_mode_ == MountMode::kDegraded) {
-    return ReadOnlyError("pmfs degraded (read-only): " + degrade_reason_);
-  }
+  O1_RETURN_IF_ERROR(CheckWritable());
   machine_->ctx().Charge(machine_->ctx().cost().inode_update_cycles);
   O1_ASSIGN_OR_RETURN(const std::string norm, Namespace::Normalize(path));
   const InodeId id = next_inode_;
-  auto rec = BeginRecord(static_cast<uint8_t>(JournalOp::kCreate));
-  PutU64(rec, id);
-  rec.push_back(static_cast<uint8_t>((flags.persistent ? 1 : 0) | (flags.discardable ? 2 : 0)));
-  PutStr(rec, norm);
-  rec = FinishRecord(std::move(rec));
-  O1_RETURN_IF_ERROR(ReserveJournal(rec.size()));
+  O1_ASSIGN_OR_RETURN(auto rec, Prepare({.op = JournalOp::kCreate,
+                                         .inode = id,
+                                         .persistent = flags.persistent,
+                                         .discardable = flags.discardable,
+                                         .path1 = norm}));
   Inode inode(&machine_->ctx());
   inode.id = id;
   inode.flags = flags;
@@ -582,9 +554,7 @@ Result<InodeId> Pmfs::Create(std::string_view path, const FileFlags& flags) {
 }
 
 Result<InodeId> Pmfs::CreateVolatile(const FileFlags& flags) {
-  if (mount_mode_ == MountMode::kDegraded) {
-    return ReadOnlyError("pmfs degraded (read-only): " + degrade_reason_);
-  }
+  O1_RETURN_IF_ERROR(CheckWritable());
   if (flags.persistent) {
     return InvalidArgument("volatile inode cannot be persistent");
   }
@@ -610,15 +580,10 @@ Result<InodeId> Pmfs::LookupPath(std::string_view path) {
 }
 
 Status Pmfs::Unlink(std::string_view path) {
-  if (mount_mode_ == MountMode::kDegraded) {
-    return ReadOnlyError("pmfs degraded (read-only): " + degrade_reason_);
-  }
+  O1_RETURN_IF_ERROR(CheckWritable());
   machine_->ctx().Charge(machine_->ctx().cost().file_delete_cycles);
   O1_ASSIGN_OR_RETURN(const std::string norm, Namespace::Normalize(path));
-  auto rec = BeginRecord(static_cast<uint8_t>(JournalOp::kUnlink));
-  PutStr(rec, norm);
-  rec = FinishRecord(std::move(rec));
-  O1_RETURN_IF_ERROR(ReserveJournal(rec.size()));
+  O1_ASSIGN_OR_RETURN(auto rec, Prepare({.op = JournalOp::kUnlink, .path1 = norm}));
   O1_ASSIGN_OR_RETURN(const InodeId id, ns_.RemoveFile(norm));
   // Committed before any block is freed or zeroed: replay either sees the
   // unlink or a fully intact file, never a half-released one.
@@ -638,29 +603,19 @@ std::vector<std::string> Pmfs::ListPaths() const {
 }
 
 Status Pmfs::Mkdir(std::string_view path) {
-  if (mount_mode_ == MountMode::kDegraded) {
-    return ReadOnlyError("pmfs degraded (read-only): " + degrade_reason_);
-  }
+  O1_RETURN_IF_ERROR(CheckWritable());
   machine_->ctx().Charge(machine_->ctx().cost().inode_update_cycles);
   O1_ASSIGN_OR_RETURN(const std::string norm, Namespace::Normalize(path));
-  auto rec = BeginRecord(static_cast<uint8_t>(JournalOp::kMkdir));
-  PutStr(rec, norm);
-  rec = FinishRecord(std::move(rec));
-  O1_RETURN_IF_ERROR(ReserveJournal(rec.size()));
+  O1_ASSIGN_OR_RETURN(auto rec, Prepare({.op = JournalOp::kMkdir, .path1 = norm}));
   O1_RETURN_IF_ERROR(ns_.Mkdir(norm));
   return AppendRecord(rec);
 }
 
 Status Pmfs::Rmdir(std::string_view path) {
-  if (mount_mode_ == MountMode::kDegraded) {
-    return ReadOnlyError("pmfs degraded (read-only): " + degrade_reason_);
-  }
+  O1_RETURN_IF_ERROR(CheckWritable());
   machine_->ctx().Charge(machine_->ctx().cost().inode_update_cycles);
   O1_ASSIGN_OR_RETURN(const std::string norm, Namespace::Normalize(path));
-  auto rec = BeginRecord(static_cast<uint8_t>(JournalOp::kRmdir));
-  PutStr(rec, norm);
-  rec = FinishRecord(std::move(rec));
-  O1_RETURN_IF_ERROR(ReserveJournal(rec.size()));
+  O1_ASSIGN_OR_RETURN(auto rec, Prepare({.op = JournalOp::kRmdir, .path1 = norm}));
   O1_RETURN_IF_ERROR(ns_.Rmdir(norm));
   return AppendRecord(rec);
 }
@@ -671,33 +626,22 @@ Result<std::vector<DirEntry>> Pmfs::List(std::string_view path) {
 }
 
 Status Pmfs::Rename(std::string_view from, std::string_view to) {
-  if (mount_mode_ == MountMode::kDegraded) {
-    return ReadOnlyError("pmfs degraded (read-only): " + degrade_reason_);
-  }
+  O1_RETURN_IF_ERROR(CheckWritable());
   machine_->ctx().Charge(machine_->ctx().cost().inode_update_cycles);
   O1_ASSIGN_OR_RETURN(const std::string norm_from, Namespace::Normalize(from));
   O1_ASSIGN_OR_RETURN(const std::string norm_to, Namespace::Normalize(to));
-  auto rec = BeginRecord(static_cast<uint8_t>(JournalOp::kRename));
-  PutStr(rec, norm_from);
-  PutStr(rec, norm_to);
-  rec = FinishRecord(std::move(rec));
-  O1_RETURN_IF_ERROR(ReserveJournal(rec.size()));
+  O1_ASSIGN_OR_RETURN(
+      auto rec, Prepare({.op = JournalOp::kRename, .path1 = norm_from, .path2 = norm_to}));
   O1_RETURN_IF_ERROR(ns_.Rename(norm_from, norm_to));
   return AppendRecord(rec);
 }
 
 Status Pmfs::Link(std::string_view existing, std::string_view new_path) {
-  if (mount_mode_ == MountMode::kDegraded) {
-    return ReadOnlyError("pmfs degraded (read-only): " + degrade_reason_);
-  }
+  O1_RETURN_IF_ERROR(CheckWritable());
   machine_->ctx().Charge(machine_->ctx().cost().inode_update_cycles);
   O1_ASSIGN_OR_RETURN(const InodeId id, ns_.LookupFile(existing));
   O1_ASSIGN_OR_RETURN(const std::string norm, Namespace::Normalize(new_path));
-  auto rec = BeginRecord(static_cast<uint8_t>(JournalOp::kLink));
-  PutU64(rec, id);
-  PutStr(rec, norm);
-  rec = FinishRecord(std::move(rec));
-  O1_RETURN_IF_ERROR(ReserveJournal(rec.size()));
+  O1_ASSIGN_OR_RETURN(auto rec, Prepare({.op = JournalOp::kLink, .inode = id, .path1 = norm}));
   O1_RETURN_IF_ERROR(ns_.AddFile(norm, id));
   O1_ASSIGN_OR_RETURN(Inode * inode, Get(id));
   inode->links++;
@@ -765,13 +709,11 @@ Status Pmfs::GrowTo(Inode& inode, uint64_t new_size) {
     // kZeroEpoch: blocks were zeroed in the background when freed, so the
     // foreground allocation path does no per-byte work.
     if (inode.journaled) {
-      auto rec = BeginRecord(static_cast<uint8_t>(JournalOp::kAllocExtent));
-      PutU64(rec, inode.id);
-      PutU64(rec, allocated);
-      PutU64(rec, extent->start);
-      PutU64(rec, extent->count);
-      rec = FinishRecord(std::move(rec));
-      O1_RETURN_IF_ERROR(ReserveJournal(rec.size()));
+      O1_ASSIGN_OR_RETURN(auto rec, Prepare({.op = JournalOp::kAllocExtent,
+                                             .inode = inode.id,
+                                             .file_offset = allocated,
+                                             .block = extent->start,
+                                             .blocks = extent->count}));
       O1_RETURN_IF_ERROR(inode.extents.Insert(allocated, paddr, bytes));
       O1_RETURN_IF_ERROR(AppendRecord(rec));
     } else {
@@ -788,11 +730,8 @@ Status Pmfs::GrowTo(Inode& inode, uint64_t new_size) {
   }
   // The size commits LAST: replay exposes only fully journaled extents, and
   // a crash mid-grow leaves the file readable at its old size.
-  auto rec = BeginRecord(static_cast<uint8_t>(JournalOp::kResize));
-  PutU64(rec, inode.id);
-  PutU64(rec, new_size);
-  rec = FinishRecord(std::move(rec));
-  O1_RETURN_IF_ERROR(ReserveJournal(rec.size()));
+  O1_ASSIGN_OR_RETURN(auto rec,
+                      Prepare({.op = JournalOp::kResize, .inode = inode.id, .size = new_size}));
   inode.size = new_size;
   return AppendRecord(rec);
 }
@@ -855,16 +794,11 @@ Status Pmfs::ResizeSingleExtent(InodeId id, uint64_t size) {
     TouchAtime(*inode);
     return OkStatus();
   }
-  auto arec = BeginRecord(static_cast<uint8_t>(JournalOp::kAllocExtent));
-  PutU64(arec, id);
-  PutU64(arec, 0);
-  PutU64(arec, extent->start);
-  PutU64(arec, extent->count);
-  arec = FinishRecord(std::move(arec));
-  auto rrec = BeginRecord(static_cast<uint8_t>(JournalOp::kResize));
-  PutU64(rrec, id);
-  PutU64(rrec, size);
-  rrec = FinishRecord(std::move(rrec));
+  // Both records are reserved together, so no checkpoint can fall between
+  // the extent and the size.
+  auto arec = Encode(
+      {.op = JournalOp::kAllocExtent, .inode = id, .block = extent->start, .blocks = extent->count});
+  auto rrec = Encode({.op = JournalOp::kResize, .inode = id, .size = size});
   O1_RETURN_IF_ERROR(ReserveJournal(arec.size() + rrec.size()));
   O1_RETURN_IF_ERROR(inode->extents.Insert(0, paddr, bytes));
   O1_RETURN_IF_ERROR(AppendRecord(arec));
@@ -883,11 +817,7 @@ Status Pmfs::Resize(InodeId id, uint64_t size) {
   }
   // Shrink: commit the new size FIRST, so a crash mid-free never zeroes
   // blocks a replayed journal still maps into the file.
-  auto rec = BeginRecord(static_cast<uint8_t>(JournalOp::kResize));
-  PutU64(rec, id);
-  PutU64(rec, size);
-  rec = FinishRecord(std::move(rec));
-  O1_RETURN_IF_ERROR(ReserveJournal(rec.size()));
+  O1_ASSIGN_OR_RETURN(auto rec, Prepare({.op = JournalOp::kResize, .inode = id, .size = size}));
   O1_RETURN_IF_ERROR(AppendRecord(rec));
   return ShrinkTo(*inode, size);
 }
@@ -899,8 +829,8 @@ Result<Paddr> Pmfs::GetBackingPage(InodeId id, uint64_t offset, bool for_write) 
   if (inode->quarantined) {
     return MediaError("pmfs file quarantined");
   }
-  if (for_write && mount_mode_ == MountMode::kDegraded) {
-    return ReadOnlyError("pmfs degraded (read-only): " + degrade_reason_);
+  if (for_write) {
+    O1_RETURN_IF_ERROR(CheckWritable());
   }
   if (offset >= AlignUp(std::max<uint64_t>(inode->size, 1), kPageSize)) {
     return InvalidArgument("page beyond end of pmfs file");
@@ -1003,9 +933,7 @@ Result<FileStat> Pmfs::Stat(InodeId id) {
 uint64_t Pmfs::free_bytes() const { return bitmap_.free_blocks() << kPageShift; }
 
 Result<uint64_t> Pmfs::ReclaimDiscardable(uint64_t bytes_needed) {
-  if (mount_mode_ == MountMode::kDegraded) {
-    return ReadOnlyError("pmfs degraded (read-only): " + degrade_reason_);
-  }
+  O1_RETURN_IF_ERROR(CheckWritable());
   std::vector<std::tuple<uint64_t, std::string, InodeId>> candidates;
   for (const auto& [path, id] : ns_.AllFiles()) {
     const Inode& inode = inodes_.at(id);
@@ -1039,11 +967,8 @@ Status Pmfs::SetPersistent(InodeId id, bool persistent) {
     return InvalidArgument("volatile O_TMPFILE-style inode cannot be made persistent");
   }
   machine_->ctx().Charge(machine_->ctx().cost().inode_update_cycles);
-  auto rec = BeginRecord(static_cast<uint8_t>(JournalOp::kSetFlags));
-  PutU64(rec, id);
-  rec.push_back(persistent ? 1 : 0);
-  rec = FinishRecord(std::move(rec));
-  O1_RETURN_IF_ERROR(ReserveJournal(rec.size()));
+  O1_ASSIGN_OR_RETURN(
+      auto rec, Prepare({.op = JournalOp::kSetFlags, .inode = id, .persistent = persistent}));
   inode->flags.persistent = persistent;
   return AppendRecord(rec);
 }
@@ -1075,9 +1000,7 @@ Status Pmfs::Destroy(InodeId id) {
 }
 
 Status Pmfs::LeakBlocksForTest(uint64_t blocks) {
-  if (mount_mode_ == MountMode::kDegraded) {
-    return ReadOnlyError("pmfs degraded (read-only): " + degrade_reason_);
-  }
+  O1_RETURN_IF_ERROR(CheckWritable());
   auto extent = bitmap_.AllocExtent(blocks);
   if (!extent.ok()) {
     return extent.status();
@@ -1088,6 +1011,11 @@ Status Pmfs::LeakBlocksForTest(uint64_t blocks) {
 }
 
 // --- recovery ---------------------------------------------------------------
+
+bool Pmfs::InDataArea(const FileExtent& e) const {
+  return e.paddr >= AddrOf(meta_blocks_) && e.paddr + e.bytes <= region_base_ + region_bytes_ &&
+         IsAligned(e.paddr, kPageSize) && IsAligned(e.bytes, kPageSize);
+}
 
 void Pmfs::RebuildBitmap() {
   const uint64_t region_blocks = region_bytes_ >> kPageShift;
@@ -1102,13 +1030,11 @@ void Pmfs::RebuildBitmap() {
     ids.push_back(id);
   }
   std::sort(ids.begin(), ids.end());
-  const Paddr data_base = AddrOf(meta_blocks_);
   for (InodeId id : ids) {
     Inode& inode = inodes_.at(id);
     bool bad = false;
     for (const FileExtent& e : inode.extents.Extents()) {
-      if (e.paddr < data_base || e.paddr + e.bytes > region_base_ + region_bytes_ ||
-          !IsAligned(e.paddr, kPageSize) || !IsAligned(e.bytes, kPageSize)) {
+      if (!InDataArea(e)) {
         bad = true;
         break;
       }
@@ -1226,18 +1152,7 @@ Status Pmfs::OnCrash() {
     }
   }
   for (const std::string& path : volatile_paths) {
-    auto removed = ns_.RemoveFile(path);
-    O1_CHECK(removed.ok());
-    auto it = inodes_.find(*removed);
-    if (it == inodes_.end()) {
-      continue;  // later hard link to an already-torn-down inode
-    }
-    if (it->second.links > 0) {
-      it->second.links--;
-    }
-    if (it->second.links == 0) {
-      inodes_.erase(it);
-    }
+    O1_CHECK(DropName(path));
   }
   // A shrink commits its size record before zeroing the kept tail, so a
   // crash can leave dead bytes between size and the page boundary; clear
@@ -1412,14 +1327,13 @@ Status Pmfs::VerifyIntegrity() {
   for (uint64_t b = 0; b < meta_blocks_; ++b) {
     owned[b] = true;
   }
-  const Paddr data_base = AddrOf(meta_blocks_);
   for (auto& [id, inode] : inodes_) {
     if (inode.quarantined) {
       continue;  // already isolated; its claims are void
     }
     for (const FileExtent& e : inode.extents.Extents()) {
       ctx.Charge(ctx.cost().extent_tree_op_cycles);
-      if (e.paddr < data_base || e.paddr + e.bytes > region_base_ + region_bytes_) {
+      if (!InDataArea(e)) {
         return Corruption("extent outside pmfs data area");
       }
       for (uint64_t b = BlockOf(e.paddr); b < BlockOf(e.paddr) + (e.bytes >> kPageShift); ++b) {

@@ -236,13 +236,15 @@ class Pmfs : public FileSystem {
     kLink,
   };
 
-  // A journal record decoded from NVM bytes.
-  struct DecodedRecord {
+  // One journal record, in memory. Fields() is the only place that knows
+  // which of these each op puts on NVM, and in what order.
+  struct JournalRecord {
     JournalOp op = JournalOp::kCreate;
     InodeId inode = kInvalidInode;
-    uint64_t a = 0;  // size / file_offset
-    uint64_t b = 0;  // block_start
-    uint64_t c = 0;  // block_count
+    uint64_t size = 0;         // kResize
+    uint64_t file_offset = 0;  // kAllocExtent
+    uint64_t block = 0;        // kAllocExtent: first block
+    uint64_t blocks = 0;       // kAllocExtent: block count
     bool persistent = false;
     bool discardable = false;
     bool quarantined = false;
@@ -259,6 +261,7 @@ class Pmfs : public FileSystem {
   };
 
   Result<Inode*> Get(InodeId id);
+  Status CheckWritable() const;            // kReadOnly on a degraded mount
   Result<Inode*> GetWritable(InodeId id);  // + degraded/quarantine guards
   void TouchAtime(Inode& inode);
   Status MaybeFree(InodeId id);
@@ -280,10 +283,21 @@ class Pmfs : public FileSystem {
   // Reads + validates the superblock; returns {active_slot, generation}.
   Result<std::pair<uint32_t, uint64_t>> ReadSuperblock();
 
+  // The one journal codec: visits `r`'s payload fields in wire order with a
+  // byte writer (Encode) or the bounds-checked reader (Decode). `Rec` is
+  // JournalRecord, const for the writer.
+  template <class Io, class Rec>
+  static void Fields(Io& io, Rec& r);
+  static std::vector<uint8_t> Encode(const JournalRecord& r);
+  static std::optional<JournalRecord> Decode(std::span<const uint8_t> bytes);
+
   // Guarantees `len` more journal bytes fit in the active slot, compacting
   // via Checkpoint() if needed. Called BEFORE the in-memory mutation so a
   // checkpoint snapshot never includes the half-applied op.
   Status ReserveJournal(uint64_t len);
+  // Encode + ReserveJournal: the bytes a live op commits with AppendRecord
+  // once it has mutated memory.
+  Result<std::vector<uint8_t>> Prepare(const JournalRecord& r);
   // Stamps generation + CRC into `rec` and appends it durably. `rec` must
   // have been sized through ReserveJournal.
   Status AppendRecord(std::vector<uint8_t>& rec);
@@ -296,13 +310,18 @@ class Pmfs : public FileSystem {
 
   // Parses the valid record prefix of a slot; applies records iff `apply`.
   SlotProbe ParseSlot(uint32_t slot, bool apply, uint64_t expect_generation);
-  std::optional<DecodedRecord> DecodeRecord(std::span<const uint8_t> bytes) const;
-  void ApplyRecord(const DecodedRecord& rec);
+  void ApplyRecord(const JournalRecord& rec);
+  // Drops one name; the inode (and with it its extents) goes with its last
+  // link. Replay and recovery only: no journal, no block frees -- the bitmap
+  // rebuild reclaims the blocks. False if `path` names no file.
+  bool DropName(const std::string& path);
 
   // Rebuilds the bitmap from extent trees: metadata area pinned, first
   // owner wins, conflicting/out-of-range files quarantined, sticky
   // bad lines retired. Under kZeroEpoch also re-zeroes free space.
   void RebuildBitmap();
+  // Page-aligned and inside the data area (past the metadata blocks).
+  bool InDataArea(const FileExtent& e) const;
 
   void Degrade(std::string reason);
 

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
+#include "src/support/crc32.h"
+
 namespace o1mem {
 namespace {
 
@@ -198,6 +204,112 @@ TEST_F(PmfsTest, DaxBackingPageInsideExtent) {
   ASSERT_TRUE(p0.ok() && p1.ok());
   EXPECT_EQ(p1.value() - p0.value(), 5 * kPageSize);  // contiguous extent
   EXPECT_FALSE(fs_.GetBackingPage(*id, 2 * kMiB, false).ok());
+}
+
+// What a crash must preserve about the persistent files: per path, the
+// inode's Stat fields and its extent list.
+std::map<std::string, std::string> PersistentFiles(Pmfs& fs) {
+  std::map<std::string, std::string> out;
+  for (const std::string& path : fs.ListPaths()) {
+    auto id = fs.LookupPath(path);
+    EXPECT_TRUE(id.ok()) << path;
+    auto st = fs.Stat(*id);
+    auto extents = fs.Extents(*id);
+    EXPECT_TRUE(st.ok() && extents.ok()) << path;
+    if (!st->persistent) {
+      continue;
+    }
+    std::string s = "id=" + std::to_string(st->id) + " size=" + std::to_string(st->size) +
+                    " alloc=" + std::to_string(st->allocated_bytes) +
+                    " discardable=" + std::to_string(st->discardable) +
+                    " links=" + std::to_string(st->link_count) +
+                    " quarantined=" + std::to_string(st->quarantined) + " extents:";
+    for (const FileExtentView& e : *extents) {
+      s += " [" + std::to_string(e.file_offset) + "," + std::to_string(e.paddr) + "," +
+           std::to_string(e.bytes) + "]";
+    }
+    out[path] = s;
+  }
+  return out;
+}
+
+uint32_t SlotCrc(Machine& machine, Paddr slot_base, uint64_t bytes) {
+  std::vector<uint8_t> buf(bytes);
+  EXPECT_TRUE(machine.phys().ReadUncharged(slot_base, buf).ok());
+  return Crc32(buf);
+}
+
+// Every journal record kind goes through a crash twice: the first recovery
+// replays the live journal (slot 0), the second the checkpoint snapshot the
+// first one compacted into slot 1. Both must rebuild the same persistent
+// files, hard links and multi-extent layouts included.
+TEST_F(PmfsTest, ReplayReproducesEveryRecordKind) {
+  ASSERT_TRUE(fs_.Mkdir("/dir").ok());
+  ASSERT_TRUE(fs_.Mkdir("/gone").ok());
+  ASSERT_TRUE(fs_.Rmdir("/gone").ok());
+  // Fragment free space so /frag must span a hole and the tail.
+  auto a = fs_.Create("/a", FileFlags{.persistent = true});
+  auto b = fs_.Create("/b", FileFlags{.persistent = true});
+  auto c = fs_.Create("/dir/c", FileFlags{.persistent = true});
+  ASSERT_TRUE(a.ok() && b.ok() && c.ok());
+  ASSERT_TRUE(fs_.Resize(*a, 15 * kMiB).ok());
+  ASSERT_TRUE(fs_.Resize(*b, 15 * kMiB).ok());
+  ASSERT_TRUE(fs_.Resize(*c, 16 * kMiB).ok());
+  ASSERT_TRUE(fs_.Unlink("/b").ok());
+  auto frag = fs_.Create("/frag", FileFlags{.persistent = true});
+  ASSERT_TRUE(frag.ok());
+  ASSERT_TRUE(fs_.Resize(*frag, 18 * kMiB).ok());
+  ASSERT_GE(fs_.Stat(*frag)->extent_count, 2u);
+  ASSERT_TRUE(fs_.Resize(*a, 3 * kMiB + 100).ok());  // shrink to a mid-page size
+  auto single = fs_.Create("/single", FileFlags{.persistent = true});
+  ASSERT_TRUE(single.ok());
+  ASSERT_TRUE(fs_.ResizeSingleExtent(*single, kMiB).ok());
+  auto disc = fs_.Create("/disc", FileFlags{.persistent = true, .discardable = true});
+  ASSERT_TRUE(disc.ok());
+  ASSERT_TRUE(fs_.Resize(*disc, 64 * kKiB).ok());
+  ASSERT_TRUE(fs_.Link("/disc", "/dir/disc2").ok());
+  ASSERT_TRUE(fs_.Unlink("/disc").ok());  // the second name keeps the inode
+  auto temp = fs_.Create("/temp", FileFlags{});
+  ASSERT_TRUE(temp.ok());
+  ASSERT_TRUE(fs_.Resize(*temp, kMiB).ok());
+  ASSERT_TRUE(fs_.Link("/temp", "/temp-link").ok());  // torn down by both names
+  auto flip = fs_.Create("/flip", FileFlags{});
+  ASSERT_TRUE(flip.ok());
+  ASSERT_TRUE(fs_.SetPersistent(*flip, true).ok());
+  auto unflip = fs_.Create("/unflip", FileFlags{.persistent = true});
+  ASSERT_TRUE(unflip.ok());
+  ASSERT_TRUE(fs_.SetPersistent(*unflip, false).ok());
+  ASSERT_TRUE(fs_.Rename("/dir/c", "/dir/c2").ok());
+  ASSERT_TRUE(fs_.Link("/frag", "/dir/frag-link").ok());
+
+  const auto expected = PersistentFiles(fs_);
+  ASSERT_EQ(expected.size(), 7u);
+  EXPECT_EQ(fs_.checkpoint_count(), 0u);
+
+  // These values pin the on-NVM journal format: any change to a record's
+  // layout, header or padding changes the bytes of both slots.
+  const Paddr slot0 = machine_.phys().nvm_base() + kPageSize;
+  const Paddr slot1 = slot0 + fs_.journal_slot_bytes();
+  EXPECT_EQ(fs_.journal_tail_bytes(), 1584u);
+  EXPECT_EQ(SlotCrc(machine_, slot0, fs_.journal_tail_bytes()), 3239211997u);
+
+  machine_.Crash();
+  ASSERT_TRUE(fs_.OnCrash().ok());
+  EXPECT_EQ(PersistentFiles(fs_), expected);
+  EXPECT_EQ(fs_.ListPaths().size(), expected.size());
+  EXPECT_TRUE(fs_.List("/dir").ok());
+  EXPECT_FALSE(fs_.List("/gone").ok());
+  EXPECT_TRUE(fs_.VerifyIntegrity().ok());
+  EXPECT_EQ(fs_.journal_tail_bytes(), 928u);
+  EXPECT_EQ(SlotCrc(machine_, slot1, fs_.journal_tail_bytes()), 3032971128u);
+
+  machine_.Crash();
+  ASSERT_TRUE(fs_.OnCrash().ok());
+  EXPECT_EQ(PersistentFiles(fs_), expected);
+  EXPECT_EQ(fs_.ListPaths().size(), expected.size());
+  EXPECT_TRUE(fs_.List("/dir").ok());
+  EXPECT_FALSE(fs_.List("/gone").ok());
+  EXPECT_TRUE(fs_.VerifyIntegrity().ok());
 }
 
 class PmfsZeroEpochTest : public ::testing::Test {
