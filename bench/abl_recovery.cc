@@ -24,10 +24,33 @@ SystemConfig RecoveryConfig() {
   return config;
 }
 
+// The legs from a power cut back to a scrubbed mount, on the simulated clock.
+struct RecoveryLegs {
+  double replay_us = 0;   // PMFS journal replay + bitmap rebuild
+  double sidecar_us = 0;  // FOM table-sidecar revalidation
+  double scrub_us = 0;    // online scrub (media patrol)
+};
+
+// Cuts power, then recovers PMFS and FOM and scrubs, timing each leg.
+RecoveryLegs CrashAndRecover(System& sys) {
+  sys.machine().Crash();
+  RecoveryLegs legs;
+  SimTimer timer(sys);
+  O1_CHECK(sys.pmfs().OnCrash().ok());
+  legs.replay_us = timer.ElapsedUs();
+  timer.Restart();
+  O1_CHECK(sys.fom().OnCrash().ok());  // revalidates every table sidecar
+  legs.sidecar_us = timer.ElapsedUs();
+  timer.Restart();
+  auto report = sys.pmfs().Scrub();
+  O1_CHECK(report.ok() && !report->degraded);
+  legs.scrub_us = timer.ElapsedUs();
+  return legs;
+}
+
 struct Row {
   uint64_t x = 0;  // journal records or file count
-  double recover_us = 0;
-  double scrub_us = 0;
+  RecoveryLegs legs;
 };
 
 // Sweep 1: recovery/scrub vs journal length. A fixed small file set, then
@@ -49,19 +72,8 @@ Row MeasureJournalLength(uint64_t target_records) {
     O1_CHECK(sys.pmfs().Resize(id, ((i % 4) + 1) * kPageSize).ok());
     ++i;
   }
-  Row row{.x = sys.pmfs().journal_records()};
-
-  sys.machine().Crash();
-  SimTimer timer(sys);
-  O1_CHECK(sys.pmfs().OnCrash().ok());
-  O1_CHECK(sys.fom().OnCrash().ok());
-  row.recover_us = timer.ElapsedUs();
-
-  timer.Restart();
-  auto report = sys.pmfs().Scrub();
-  O1_CHECK(report.ok() && !report->degraded);
-  row.scrub_us = timer.ElapsedUs();
-  return row;
+  const uint64_t records = sys.pmfs().journal_records();
+  return Row{.x = records, .legs = CrashAndRecover(sys)};
 }
 
 // Sweep 2: recovery/scrub vs live persistent file count (one page each,
@@ -80,19 +92,7 @@ Row MeasureFileCount(uint64_t files) {
     }
     O1_CHECK(seg.ok());
   }
-  Row row{.x = files};
-
-  sys.machine().Crash();
-  SimTimer timer(sys);
-  O1_CHECK(sys.pmfs().OnCrash().ok());
-  O1_CHECK(sys.fom().OnCrash().ok());  // revalidates every table sidecar
-  row.recover_us = timer.ElapsedUs();
-
-  timer.Restart();
-  auto report = sys.pmfs().Scrub();
-  O1_CHECK(report.ok() && !report->degraded);
-  row.scrub_us = timer.ElapsedUs();
-  return row;
+  return Row{.x = files, .legs = CrashAndRecover(sys)};
 }
 
 // The recovery SLO a serving system actually cares about, decomposed: after
@@ -102,9 +102,7 @@ Row MeasureFileCount(uint64_t files) {
 // chaos campaigns as the nominal single-shard baseline.
 struct RecoverySlo {
   uint64_t replay_records = 0;
-  double replay_us = 0;      // PMFS journal replay + bitmap rebuild
-  double sidecar_us = 0;     // FOM table-sidecar revalidation
-  double scrub_us = 0;       // online media patrol
+  RecoveryLegs legs;
   double to_serving_us = 0;  // launch + open + map + first read
 };
 
@@ -136,19 +134,9 @@ RecoverySlo MeasureRecoverySlo() {
   RecoverySlo slo;
   slo.replay_records = sys.pmfs().journal_records();
 
-  sys.machine().Crash();
-  SimTimer timer(sys);
-  O1_CHECK(sys.pmfs().OnCrash().ok());
-  slo.replay_us = timer.ElapsedUs();
-  timer.Restart();
-  O1_CHECK(sys.fom().OnCrash().ok());
-  slo.sidecar_us = timer.ElapsedUs();
-  timer.Restart();
-  auto report = sys.pmfs().Scrub();
-  O1_CHECK(report.ok() && !report->degraded);
-  slo.scrub_us = timer.ElapsedUs();
+  slo.legs = CrashAndRecover(sys);
 
-  timer.Restart();
+  SimTimer timer(sys);
   auto proc = sys.Launch(Backend::kFom);
   O1_CHECK(proc.ok());
   auto open = sys.fom().OpenSegment("/srv/state");
@@ -170,15 +158,16 @@ int main(int argc, char** argv) {
   InitBenchObs(argc, argv);
   RejectUnknownFlags(argc, argv);
 
+  // Recovery is every leg before the scrub: replay and sidecar revalidation.
+  auto add_row = [](Table& table, const Row& row) {
+    table.AddRow({Table::Int(row.x), Table::Num(row.legs.replay_us + row.legs.sidecar_us),
+                  Table::Num(row.legs.scrub_us)});
+  };
   Table by_journal("Ablation: recovery and online scrub latency vs journal length "
                    "(8 files, simulated us)");
   by_journal.AddRow({"journal records", "recover us", "scrub us"});
-  std::vector<Row> journal_rows;
   for (uint64_t records : {16ull, 64ull, 256ull, 1024ull, 4096ull}) {
-    Row row = MeasureJournalLength(records);
-    journal_rows.push_back(row);
-    by_journal.AddRow({Table::Int(row.x), Table::Num(row.recover_us),
-                       Table::Num(row.scrub_us)});
+    add_row(by_journal, MeasureJournalLength(records));
   }
   by_journal.Print();
   MaybePrintCsv(by_journal);
@@ -187,12 +176,8 @@ int main(int argc, char** argv) {
   Table by_files("\nAblation: recovery and online scrub latency vs persistent FOM "
                  "segments (4 KiB each; sidecar revalidation included)");
   by_files.AddRow({"files", "recover us", "scrub us"});
-  std::vector<Row> file_rows;
   for (uint64_t files : {8ull, 32ull, 128ull, 512ull}) {
-    Row row = MeasureFileCount(files);
-    file_rows.push_back(row);
-    by_files.AddRow({Table::Int(row.x), Table::Num(row.recover_us),
-                     Table::Num(row.scrub_us)});
+    add_row(by_files, MeasureFileCount(files));
   }
   by_files.Print();
   MaybePrintCsv(by_files);
@@ -202,17 +187,17 @@ int main(int argc, char** argv) {
   Table slo_table("\nAblation: crash-to-serving SLO decomposition (16 MiB state, " +
                   std::to_string(slo.replay_records) + " journal records, simulated us)");
   slo_table.AddRow({"leg", "us"});
-  slo_table.AddRow({"journal replay + bitmap rebuild", Table::Num(slo.replay_us)});
-  slo_table.AddRow({"FOM sidecar revalidation", Table::Num(slo.sidecar_us)});
-  slo_table.AddRow({"online scrub (media patrol)", Table::Num(slo.scrub_us)});
+  slo_table.AddRow({"journal replay + bitmap rebuild", Table::Num(slo.legs.replay_us)});
+  slo_table.AddRow({"FOM sidecar revalidation", Table::Num(slo.legs.sidecar_us)});
+  slo_table.AddRow({"online scrub (media patrol)", Table::Num(slo.legs.scrub_us)});
   slo_table.AddRow({"launch + map + first read", Table::Num(slo.to_serving_us)});
   slo_table.Print();
   MaybePrintCsv(slo_table);
   json.AddTable(slo_table);
   json.Metric("recovery_replay_records", static_cast<double>(slo.replay_records));
-  json.Metric("recovery_replay_us", slo.replay_us);
-  json.Metric("recovery_sidecar_us", slo.sidecar_us);
-  json.Metric("recovery_scrub_us", slo.scrub_us);
+  json.Metric("recovery_replay_us", slo.legs.replay_us);
+  json.Metric("recovery_sidecar_us", slo.legs.sidecar_us);
+  json.Metric("recovery_scrub_us", slo.legs.scrub_us);
   json.Metric("recovery_time_to_serving_us", slo.to_serving_us);
 
   std::printf(

@@ -156,7 +156,7 @@ void ShardedKvService::ApplyFiring(const ChaosFiring& firing, uint64_t tick) {
       PoisonShard(firing.shard, /*sticky=*/false, /*dram_cache=*/true, tick);
       return;
     case ChaosKind::kCrashMachine:
-      MachineCrashRecover(tick);
+      Recover(kMachineScope, tick, "machine");
       return;
     case ChaosKind::kTornWriteCrash:
       sys_.machine().fault_injector().EnableTornPersists(config_.chaos.seed);
@@ -397,64 +397,42 @@ void ShardedKvService::PushTickMetric(uint64_t tick, uint64_t queue_depth,
   obs->PushMetric(m);
 }
 
-void ShardedKvService::RecoverShard(int index, uint64_t tick, const char* cause) {
-  Shard& shard = shards_[static_cast<size_t>(index)];
-  RecoveryEvent event;
-  event.shard = index;
-  event.cause = cause;
-  event.down_tick = shard.down_tick;
-  event.detect_tick = tick;
-  if (shard.proc != nullptr) {  // hung zombie: kill it first
+void ShardedKvService::Recover(int scope, uint64_t tick, const char* cause) {
+  const bool machine = scope == kMachineScope;
+  const int first = machine ? 0 : scope;
+  const int last = machine ? config_.shards : scope + 1;
+  if (machine) {
+    report_.machine_crashes++;
+    // In-flight queued requests die with the machine; clients retry.
+    for (int i = 0; i < config_.shards; ++i) {
+      FailQueued(i, tick);
+    }
+    const uint64_t down_cycles = sys_.ctx().now();
+    for (Shard& shard : shards_) {
+      if (shard.state == ShardState::kUp) {
+        shard.down_tick = tick;
+        shard.down_cycles = down_cycles;
+      }
+      shard.proc = nullptr;  // Crash() invalidates every Process*
+      shard.state = ShardState::kDown;
+    }
+    O1_CHECK(sys_.Crash().ok());
+  } else if (Shard& shard = shards_[static_cast<size_t>(scope)]; shard.proc != nullptr) {
+    // Hung zombie: kill it first.
     O1_CHECK(sys_.Exit(shard.proc).ok());
     shard.proc = nullptr;
   }
+  RecoveryEvent event{.shard = scope, .cause = cause, .down_tick = tick, .detect_tick = tick};
+  for (int i = first; i < last; ++i) {
+    event.down_tick = std::min(event.down_tick, shards_[static_cast<size_t>(i)].down_tick);
+  }
   const uint64_t scrub_start = sys_.ctx().now();
   auto scrub = sys_.pmfs().Scrub();
   O1_CHECK(scrub.ok());
   event.scrub_us = sys_.ctx().clock().CyclesToUs(sys_.ctx().now() - scrub_start);
   event.replay_records = scrub->journal_records_checked;
   const uint64_t remap_start = sys_.ctx().now();
-  BringUp(index);
-  event.remap_us = sys_.ctx().clock().CyclesToUs(sys_.ctx().now() - remap_start);
-  shard.state = ShardState::kUp;
-  shard.awaiting_first_serve = true;
-  shard.dog.Rearm(tick);
-  LogNote("t=" + std::to_string(tick) + " recover shard=" + std::to_string(index) +
-                  " cause=" + cause + " replay=" + std::to_string(event.replay_records));
-  report_.recoveries.push_back(event);
-}
-
-void ShardedKvService::MachineCrashRecover(uint64_t tick) {
-  report_.machine_crashes++;
-  // In-flight queued requests die with the machine; clients retry.
-  for (int i = 0; i < config_.shards; ++i) {
-    FailQueued(i, tick);
-  }
-  const uint64_t down_cycles = sys_.ctx().now();
-  uint64_t down_tick_min = tick;
-  for (Shard& shard : shards_) {
-    if (shard.state == ShardState::kUp) {
-      shard.down_tick = tick;
-      shard.down_cycles = down_cycles;
-    } else {
-      down_tick_min = std::min(down_tick_min, shard.down_tick);
-    }
-    shard.proc = nullptr;  // Crash() invalidates every Process*
-    shard.state = ShardState::kDown;
-  }
-  O1_CHECK(sys_.Crash().ok());
-  RecoveryEvent event;
-  event.shard = -1;
-  event.cause = "machine";
-  event.down_tick = down_tick_min;
-  event.detect_tick = tick;
-  const uint64_t scrub_start = sys_.ctx().now();
-  auto scrub = sys_.pmfs().Scrub();
-  O1_CHECK(scrub.ok());
-  event.scrub_us = sys_.ctx().clock().CyclesToUs(sys_.ctx().now() - scrub_start);
-  event.replay_records = scrub->journal_records_checked;
-  const uint64_t remap_start = sys_.ctx().now();
-  for (int i = 0; i < config_.shards; ++i) {
+  for (int i = first; i < last; ++i) {
     BringUp(i);
     Shard& shard = shards_[static_cast<size_t>(i)];
     shard.state = ShardState::kUp;
@@ -462,35 +440,39 @@ void ShardedKvService::MachineCrashRecover(uint64_t tick) {
     shard.dog.Rearm(tick);
   }
   event.remap_us = sys_.ctx().clock().CyclesToUs(sys_.ctx().now() - remap_start);
-  // Lost-ack reconciliation: a put acknowledged in the crash tick may not
-  // have reached media (its lines stayed volatile once the armed index
-  // tripped). The client audit resyncs to the durable state -- a version
-  // regression is the expected lost-ack window, but a wrong key or a
-  // version from the future is real corruption and still counts.
-  for (uint64_t key = 0; key < client_version_.size(); ++key) {
-    if (client_version_[key] == 0) {
-      continue;
-    }
-    const int index = static_cast<int>(key % static_cast<uint64_t>(config_.shards));
-    Shard& shard = shards_[static_cast<size_t>(index)];
-    uint8_t line[kLineBytes];
-    if (!sys_.UserRead(*shard.proc, shard.base + Offset(key), line).ok()) {
-      continue;  // poisoned record: the next get repairs it
-    }
-    uint64_t version = 0;
-    uint64_t stored_key = 0;
-    std::memcpy(&version, line, sizeof(version));
-    std::memcpy(&stored_key, line + sizeof(version), sizeof(stored_key));
-    if (version == 0 && stored_key == 0) {
-      client_version_[key] = 0;  // the record's only put fully reverted
-    } else if (stored_key != key || version > client_version_[key]) {
-      report_.verify_failures++;
-    } else {
-      client_version_[key] = version;
+  if (machine) {
+    // Lost-ack reconciliation: a put acknowledged in the crash tick may not
+    // have reached media (its lines stayed volatile once the armed index
+    // tripped). The client audit resyncs to the durable state -- a version
+    // regression is the expected lost-ack window, but a wrong key or a
+    // version from the future is real corruption and still counts.
+    for (uint64_t key = 0; key < client_version_.size(); ++key) {
+      if (client_version_[key] == 0) {
+        continue;
+      }
+      const int index = static_cast<int>(key % static_cast<uint64_t>(config_.shards));
+      Shard& shard = shards_[static_cast<size_t>(index)];
+      uint8_t line[kLineBytes];
+      if (!sys_.UserRead(*shard.proc, shard.base + Offset(key), line).ok()) {
+        continue;  // poisoned record: the next get repairs it
+      }
+      uint64_t version = 0;
+      uint64_t stored_key = 0;
+      std::memcpy(&version, line, sizeof(version));
+      std::memcpy(&stored_key, line + sizeof(version), sizeof(stored_key));
+      if (version == 0 && stored_key == 0) {
+        client_version_[key] = 0;  // the record's only put fully reverted
+      } else if (stored_key != key || version > client_version_[key]) {
+        report_.verify_failures++;
+      } else {
+        client_version_[key] = version;
+      }
     }
   }
-  LogNote("t=" + std::to_string(tick) + " recover machine replay=" +
-                  std::to_string(event.replay_records));
+  LogNote("t=" + std::to_string(tick) + " recover " +
+          (machine ? std::string("machine")
+                   : "shard=" + std::to_string(scope) + " cause=" + cause) +
+          " replay=" + std::to_string(event.replay_records));
   report_.recoveries.push_back(event);
 }
 
@@ -801,7 +783,7 @@ ShardServiceReport ShardedKvService::Run() {
       // fails at the next tick boundary.
       if (injector.triggered()) {
         campaign_->Note("t=" + std::to_string(tick) + " armed crash tripped");
-        MachineCrashRecover(tick);
+        Recover(kMachineScope, tick, "machine");
       }
       // A killed shard refuses its queued requests immediately.
       for (int i = 0; i < config_.shards; ++i) {
@@ -821,7 +803,7 @@ ShardServiceReport ShardedKvService::Run() {
         LogNote("t=" + std::to_string(tick) + " unhang shard=" + std::to_string(i));
       }
       if (shard.state != ShardState::kUp && shard.dog.Expired(tick)) {
-        RecoverShard(i, tick, shard.down_cause);
+        Recover(i, tick, shard.down_cause);
         report_.watchdog_kills++;
       }
     }
@@ -883,7 +865,7 @@ ShardServiceReport ShardedKvService::Run() {
     if (injector.triggered()) {
       // Tripped during this tick's ops (outside the campaign poll above).
       LogNote("t=" + std::to_string(tick) + " armed crash tripped");
-      MachineCrashRecover(tick);
+      Recover(kMachineScope, tick, "machine");
     }
     if (!arrival_.done()) {
       uint64_t depth = 0;

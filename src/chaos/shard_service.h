@@ -274,8 +274,12 @@ class ShardedKvService {
   void PoisonShard(int shard, bool sticky, bool dram_cache, uint64_t tick);
   // One get or put of `key`'s record, or a scan of scan_records records.
   Status ServeOnce(Shard& shard, uint64_t key, OpClass cls);
-  void RecoverShard(int index, uint64_t tick, const char* cause);
-  void MachineCrashRecover(uint64_t tick);
+  // Scrubs PMFS, times it, brings the shards in `scope` back up and books
+  // the RecoveryEvent. `scope` is one shard index, or kMachineScope: the
+  // whole machine crashes first (queued requests fail, every process dies)
+  // and the clients' acknowledged versions are audited after.
+  static constexpr int kMachineScope = -1;
+  void Recover(int scope, uint64_t tick, const char* cause);
   void LogNote(const std::string& line) {
     if (campaign_ != nullptr) {
       campaign_->Note(line);

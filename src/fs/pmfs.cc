@@ -1017,86 +1017,98 @@ bool Pmfs::InDataArea(const FileExtent& e) const {
          IsAligned(e.paddr, kPageSize) && IsAligned(e.bytes, kPageSize);
 }
 
-void Pmfs::RebuildBitmap() {
-  const uint64_t region_blocks = region_bytes_ >> kPageShift;
-  std::vector<bool> owned(region_blocks, false);
-  for (uint64_t b = 0; b < meta_blocks_; ++b) {
-    owned[b] = true;
-  }
-  // Deterministic order: the lowest inode id keeps contested blocks.
+Pmfs::BlockClaims Pmfs::ClaimBlocks() const {
+  BlockClaims claims;
+  claims.owned.assign(region_bytes_ >> kPageShift, false);
+  std::fill_n(claims.owned.begin(), meta_blocks_, true);
   std::vector<InodeId> ids;
   ids.reserve(inodes_.size());
   for (const auto& [id, inode] : inodes_) {
     ids.push_back(id);
   }
   std::sort(ids.begin(), ids.end());
+  // The extent's span of `owned`.
+  auto blocks_of = [&](const FileExtent& e) {
+    const auto first = claims.owned.begin() + static_cast<std::ptrdiff_t>(BlockOf(e.paddr));
+    return std::pair(first, first + static_cast<std::ptrdiff_t>(e.bytes >> kPageShift));
+  };
   for (InodeId id : ids) {
-    Inode& inode = inodes_.at(id);
-    bool bad = false;
-    for (const FileExtent& e : inode.extents.Extents()) {
+    const std::vector<FileExtent> extents = inodes_.at(id).extents.Extents();
+    const bool claimable = std::all_of(extents.begin(), extents.end(), [&](const FileExtent& e) {
       if (!InDataArea(e)) {
-        bad = true;
-        break;
+        return false;
       }
-      for (uint64_t b = BlockOf(e.paddr); b < BlockOf(e.paddr) + (e.bytes >> kPageShift); ++b) {
-        if (owned[b]) {
-          bad = true;
-          break;
-        }
-      }
-      if (bad) {
-        break;
-      }
-    }
-    if (bad) {
-      // All-or-nothing claims: a file with a conflicting or out-of-range
-      // extent keeps NO blocks and is quarantined instead of aborting the
-      // mount.
-      inode.quarantined = true;
+      const auto [first, last] = blocks_of(e);
+      return std::find(first, last, true) == last;
+    });
+    if (!claimable) {
+      claims.rejected.push_back(id);
       continue;
     }
-    for (const FileExtent& e : inode.extents.Extents()) {
-      for (uint64_t b = BlockOf(e.paddr); b < BlockOf(e.paddr) + (e.bytes >> kPageShift); ++b) {
-        owned[b] = true;
-      }
+    for (const FileExtent& e : extents) {
+      const auto [first, last] = blocks_of(e);
+      std::fill(first, last, true);
+      claims.runs.push_back({BlockOf(e.paddr), e.bytes >> kPageShift, id});
     }
   }
+  std::sort(claims.runs.begin(), claims.runs.end(),
+            [](const BlockClaim& a, const BlockClaim& b) { return a.first_block < b.first_block; });
+  return claims;
+}
+
+InodeId Pmfs::BlockClaims::OwnerOf(uint64_t block) const {
+  auto it = std::upper_bound(runs.begin(), runs.end(), block,
+                             [](uint64_t b, const BlockClaim& r) { return b < r.first_block; });
+  if (it == runs.begin()) {
+    return kInvalidInode;
+  }
+  --it;
+  return block < it->first_block + it->blocks ? it->inode : kInvalidInode;
+}
+
+template <class Fn>
+void Pmfs::ForEachUnreadableLine(Paddr from, Fn fn) const {
+  const Paddr end = region_base_ + region_bytes_;
+  for (Paddr cursor = from; cursor < end;) {
+    auto bad = machine_->phys().FindUnreadableLineUncharged(cursor, end - cursor);
+    if (!bad.has_value()) {
+      return;
+    }
+    fn(*bad);
+    cursor = AlignDown(*bad, 64) + 64;
+  }
+}
+
+void Pmfs::RebuildBitmap(BlockClaims claims) {
+  // A rejected file keeps NO blocks and is quarantined instead of aborting
+  // the mount.
+  for (InodeId id : claims.rejected) {
+    inodes_.at(id).quarantined = true;
+  }
+  std::vector<bool>& owned = claims.owned;
   // Sticky-unreadable lines reported by the platform (ARS-style bad-line
   // list) are fenced off so the allocator never hands them out.
   const FaultInjector* fi = machine_->phys().fault_injector();
-  if (fi != nullptr && fi->has_poison()) {
-    Paddr cursor = region_base_;
-    const Paddr end = region_base_ + region_bytes_;
-    while (cursor < end) {
-      auto bad = machine_->phys().FindUnreadableLineUncharged(cursor, end - cursor);
-      if (!bad.has_value()) {
-        break;
-      }
-      const uint64_t block = BlockOf(*bad);
-      if (block >= meta_blocks_ && !owned[block] && fi->IsSticky(*bad)) {
-        owned[block] = true;
-        bad_blocks_.insert(block);
-      }
-      cursor = AlignDown(*bad, 64) + 64;
+  ForEachUnreadableLine(region_base_, [&](Paddr bad) {
+    const uint64_t block = BlockOf(bad);
+    if (block >= meta_blocks_ && !owned[block] && fi->IsSticky(bad)) {
+      owned[block] = true;
+      bad_blocks_.insert(block);
     }
-  }
+  });
   Status reset = bitmap_.Reset(owned);
   O1_CHECK(reset.ok());
   // kZeroEpoch hands out pre-zeroed blocks; a crash may have interrupted a
   // background zero, so re-zero free space before it can be reallocated.
   if (zero_policy_ == ZeroPolicy::kZeroEpoch) {
-    uint64_t run_start = 0;
-    bool in_run = false;
-    for (uint64_t b = meta_blocks_; b <= region_blocks; ++b) {
-      const bool is_free = b < region_blocks && !owned[b];
-      if (is_free && !in_run) {
-        run_start = b;
-        in_run = true;
-      } else if (!is_free && in_run) {
-        Status zeroed = ZeroOnFree(AddrOf(run_start), (b - run_start) << kPageShift);
-        O1_CHECK(zeroed.ok());
-        in_run = false;
-      }
+    const auto begin = owned.begin();
+    auto run = std::find(begin + static_cast<std::ptrdiff_t>(meta_blocks_), owned.end(), false);
+    while (run != owned.end()) {
+      const auto run_end = std::find(run, owned.end(), true);
+      Status zeroed = ZeroOnFree(AddrOf(static_cast<uint64_t>(run - begin)),
+                                 static_cast<uint64_t>(run_end - run) << kPageShift);
+      O1_CHECK(zeroed.ok());
+      run = std::find(run_end, owned.end(), false);
     }
   }
 }
@@ -1173,7 +1185,7 @@ Status Pmfs::OnCrash() {
 
   // 4. Bitmap rebuild: leaked blocks (allocated but ownerless, e.g. a torn
   //    allocation) are reclaimed; conflicting files are quarantined.
-  RebuildBitmap();
+  RebuildBitmap(ClaimBlocks());
 
   // 5. Compact the replayed state into the other slot and flip. Failure
   //    degrades the mount instead of failing the boot.
@@ -1243,28 +1255,13 @@ Result<ScrubReport> Pmfs::Scrub() {
   //    in live file data quarantines the file; transient poison in free
   //    space heals by rewrite; sticky poison in free space is retired.
   ctx.Charge(ctx.cost().NvmReadBulkCycles(region_bytes_));
-  std::unordered_map<uint64_t, InodeId> owner;
-  for (const auto& [id, inode] : inodes_) {
-    for (const FileExtent& e : inode.extents.Extents()) {
-      if (e.paddr < region_base_ || e.paddr + e.bytes > region_base_ + region_bytes_) {
-        continue;
-      }
-      for (uint64_t b = BlockOf(e.paddr); b < BlockOf(e.paddr) + (e.bytes >> kPageShift); ++b) {
-        owner.emplace(b, id);
-      }
-    }
-  }
+  BlockClaims claims = ClaimBlocks();
   const FaultInjector* fi = machine_->phys().fault_injector();
-  Paddr cursor = region_base_ + kPageSize;  // superblock handled above
-  const Paddr end = region_base_ + region_bytes_;
-  while (cursor < end) {
-    auto bad = machine_->phys().FindUnreadableLineUncharged(cursor, end - cursor);
-    if (!bad.has_value()) {
-      break;
-    }
+  // The superblock was handled above.
+  ForEachUnreadableLine(region_base_ + kPageSize, [&](Paddr bad) {
     ++report.media_errors_found;
-    const uint64_t block = BlockOf(*bad);
-    const bool sticky = fi != nullptr && fi->IsSticky(*bad);
+    const uint64_t block = BlockOf(bad);
+    const bool sticky = fi->IsSticky(bad);
     if (block < meta_blocks_) {
       // Journal area. The active valid prefix was just re-verified (and
       // compacted away from any damage), so this line is reconstructible --
@@ -1272,16 +1269,13 @@ Result<ScrubReport> Pmfs::Scrub() {
       if (sticky) {
         note_unhealthy("sticky media fault inside the journal area");
       } else {
-        const Paddr line = AlignDown(*bad, 64);
+        const Paddr line = AlignDown(bad, 64);
         (void)machine_->phys().ZeroUncharged(line, 64);
         (void)machine_->phys().FlushLinesUncharged(line, 64);
         ++report.blocks_repaired;
       }
-    } else if (auto own = owner.find(block); own != owner.end()) {
-      auto it = inodes_.find(own->second);
-      if (it != inodes_.end() && !it->second.quarantined) {
-        it->second.quarantined = true;
-      }
+    } else if (const InodeId owner = claims.OwnerOf(block); owner != kInvalidInode) {
+      inodes_.at(owner).quarantined = true;
     } else if (sticky) {
       bad_blocks_.insert(block);
       ++report.bad_blocks_retired;
@@ -1290,12 +1284,12 @@ Result<ScrubReport> Pmfs::Scrub() {
       (void)machine_->phys().FlushLinesUncharged(AddrOf(block), kPageSize);
       ++report.blocks_repaired;
     }
-    cursor = AlignDown(*bad, 64) + 64;
-  }
+  });
 
   // 4. Structure: quarantine conflicting/out-of-range files and rebuild
-  //    the bitmap around the survivors and the retired blocks.
-  RebuildBitmap();
+  //    the bitmap around the survivors and the retired blocks. The patrol
+  //    changed no extent, so its claims still hold.
+  RebuildBitmap(std::move(claims));
   report.files_quarantined = count_quarantined() - quarantined_before;
 
   // Quarantine verdicts must survive the next crash: they ride in checkpoint

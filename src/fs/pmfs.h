@@ -170,7 +170,9 @@ class Pmfs : public FileSystem {
 
   // Structural invariants: extents within the data area, no block owned
   // twice, bitmap consistent with the extent trees. Quarantined files are
-  // exempt (they are already isolated). Charged as a metadata scan.
+  // exempt (they are already isolated). Charged as a metadata scan. It
+  // walks the extents itself, not through ClaimBlocks, so it checks the
+  // rebuilt bitmap rather than restating it.
   Status VerifyIntegrity();
 
   // Fault injection for recovery tests: marks `blocks` blocks allocated in
@@ -316,10 +318,33 @@ class Pmfs : public FileSystem {
   // rebuild reclaims the blocks. False if `path` names no file.
   bool DropName(const std::string& path);
 
-  // Rebuilds the bitmap from extent trees: metadata area pinned, first
-  // owner wins, conflicting/out-of-range files quarantined, sticky
-  // bad lines retired. Under kZeroEpoch also re-zeroes free space.
-  void RebuildBitmap();
+  // One accepted claim: blocks [first_block, first_block + blocks) belong
+  // to `inode`.
+  struct BlockClaim {
+    uint64_t first_block = 0;
+    uint64_t blocks = 0;
+    InodeId inode = kInvalidInode;
+  };
+  struct BlockClaims {
+    std::vector<BlockClaim> runs;   // sorted by first_block, disjoint
+    std::vector<InodeId> rejected;  // inodes that claimed nothing
+    std::vector<bool> owned;        // one bit per block: metadata area + runs
+    // The inode whose run covers `block`, or kInvalidInode.
+    InodeId OwnerOf(uint64_t block) const;
+  };
+  // The one block-ownership pass (uncharged). Inodes claim their extents in
+  // ascending id, all or nothing: an extent outside the data area or
+  // overlapping an earlier claim rejects the whole inode, quarantined or not.
+  // So the lowest inode id wins a contested block.
+  BlockClaims ClaimBlocks() const;
+  // Calls fn(line) for each unreadable 64 B line in [from, region end), in
+  // address order. Uncharged: the caller prices the walk.
+  template <class Fn>
+  void ForEachUnreadableLine(Paddr from, Fn fn) const;
+  // Rebuilds the bitmap from `claims`: metadata area pinned, lowest inode id
+  // wins, all-or-nothing (rejected files are quarantined), sticky bad lines
+  // in unowned blocks retired. Under kZeroEpoch also re-zeroes free space.
+  void RebuildBitmap(BlockClaims claims);
   // Page-aligned and inside the data area (past the metadata blocks).
   bool InDataArea(const FileExtent& e) const;
 

@@ -5,10 +5,13 @@
 // statuses, never as aborts.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <span>
 #include <vector>
 
 #include "src/fs/pmfs.h"
+#include "src/support/crc32.h"
+#include "src/support/le_bytes.h"
 
 namespace o1mem {
 namespace {
@@ -138,6 +141,55 @@ TEST_F(ScrubTest, StickyPoisonInFileDataQuarantinesTheFile) {
   ASSERT_TRUE(found.ok());
   EXPECT_TRUE(fs_.Stat(*found)->quarantined);
   EXPECT_TRUE(fs_.LookupPath("/good").ok());
+}
+
+// Two files claim one block: recovery keeps it with the lower inode id and
+// quarantines the other file whole; a later patrol that finds the block
+// poisoned must blame the file the bitmap keeps it for.
+TEST_F(ScrubTest, ContestedBlockGoesToLowestIdAndPatrolBlamesThatOwner) {
+  auto a = fs_.Create("/a", FileFlags{.persistent = true});
+  auto b = fs_.Create("/b", FileFlags{.persistent = true});
+  ASSERT_TRUE(a.ok() && b.ok());
+  ASSERT_LT(*a, *b);
+  ASSERT_TRUE(fs_.Resize(*a, kPageSize).ok());
+  ASSERT_TRUE(fs_.Resize(*b, kPageSize).ok());
+  ASSERT_EQ(fs_.checkpoint_count(), 0u);  // slot 0 is still the active one
+  const Paddr a_block = FirstExtent(*a);
+
+  // Forge a CRC-valid kAllocExtent record that maps /a's block into /b at
+  // file offset one page (past /b's own page). Layout: len u32, crc u32,
+  // generation u64, op u8, padded to 24 B; then inode, file_offset, block,
+  // blocks as u64. The CRC covers the record with its crc field zeroed.
+  const Paddr slot0 = region_base() + kPageSize;
+  std::array<uint8_t, 8> generation{};  // the slot's, from its first record
+  ASSERT_TRUE(machine_.phys().ReadUncharged(slot0 + 8, generation).ok());
+  std::vector<uint8_t> rec(56, 0);
+  StoreLe<uint32_t>(rec.data(), static_cast<uint32_t>(rec.size()));
+  std::copy(generation.begin(), generation.end(), rec.begin() + 8);
+  rec[16] = 5;  // kAllocExtent
+  StoreLe<uint64_t>(rec.data() + 24, *b);
+  StoreLe<uint64_t>(rec.data() + 32, kPageSize);
+  StoreLe<uint64_t>(rec.data() + 40, (a_block - region_base()) >> kPageShift);
+  StoreLe<uint64_t>(rec.data() + 48, 1);
+  StoreLe<uint32_t>(rec.data() + 4, Crc32(rec));
+  const Paddr tail = slot0 + fs_.journal_tail_bytes();
+  ASSERT_TRUE(machine_.phys().Write(tail, rec).ok());
+  ASSERT_TRUE(machine_.phys().FlushLines(tail, rec.size()).ok());
+
+  machine_.Crash();
+  ASSERT_TRUE(fs_.OnCrash().ok());
+  EXPECT_EQ(fs_.Stat(*b)->extent_count, 2u);  // the forged record replayed
+  EXPECT_FALSE(fs_.Stat(*a)->quarantined);
+  EXPECT_TRUE(fs_.Stat(*b)->quarantined);
+  EXPECT_TRUE(fs_.VerifyIntegrity().ok());
+
+  fi().MarkUnreadable(a_block + 64, /*sticky=*/true);
+  auto report = fs_.Scrub();
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->files_quarantined, 1u);
+  EXPECT_TRUE(fs_.Stat(*a)->quarantined);
+  EXPECT_EQ(report->bad_blocks_retired, 0u);  // the block still has an owner
+  EXPECT_TRUE(fs_.VerifyIntegrity().ok());
 }
 
 TEST_F(ScrubTest, StickyJournalFaultDegradesThenRepairs) {
