@@ -106,11 +106,11 @@ void FomManager::WriteSidecar(InodeId inode, const PrecreatedTables& tables) {
   if (!extents.ok()) {
     return;
   }
-  const uint64_t pages = PagesFor(tables.file_bytes);
+  const uint64_t pages = PagesFor(tables.file_bytes());
   std::vector<uint8_t> buf(kSidecarHeaderBytes + pages * 8, 0);
   StoreLe<uint64_t>(&buf[0], kSidecarMagic);
   StoreLe<uint64_t>(&buf[8], inode);
-  StoreLe<uint64_t>(&buf[16], tables.file_bytes);
+  StoreLe<uint64_t>(&buf[16], tables.file_bytes());
   StoreLe<uint64_t>(&buf[24], pages);
   size_t page = 0;
   for (const FileExtentView& e : *extents) {
@@ -159,22 +159,19 @@ Result<PrecreatedTables> FomManager::LoadSidecar(InodeId inode, uint64_t file_by
   // The paddrs must agree with the file's current extents: a stale sidecar
   // (file re-created at a different location) would splice translations to
   // someone else's frames.
-  std::vector<Paddr> page_paddrs(pages);
   size_t page = 0;
   for (const FileExtentView& e : extents) {
     for (uint64_t off = 0; off < e.bytes && page < pages; off += kPageSize) {
-      const Paddr expect = e.paddr + off;
-      if (LoadLe<uint64_t>(&buf[kSidecarHeaderBytes + page * 8]) != expect) {
+      if (LoadLe<uint64_t>(&buf[kSidecarHeaderBytes + page * 8]) != e.paddr + off) {
         return Corruption("fom table sidecar does not match file extents");
       }
-      page_paddrs[page] = expect;
       ++page;
     }
   }
   if (page != pages) {
     return Corruption("fom table sidecar does not cover the file");
   }
-  return RehydratePrecreatedTables(page_paddrs, file_bytes);
+  return RehydratePrecreatedTables(extents, file_bytes);
 }
 
 Result<const PrecreatedTables*> FomManager::TablesFor(InodeId inode) {

@@ -180,6 +180,8 @@ class FomManager {
   Status OnCrash();
 
   // --- Metrics -------------------------------------------------------------
+  // Modeled table nodes (both variants) of every cached segment, whether or
+  // not the host has built them yet.
   uint64_t precreated_node_count() const;
   const FomConfig& config() const { return config_; }
   Pmfs& fs() { return *pmfs_; }

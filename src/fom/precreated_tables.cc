@@ -6,40 +6,59 @@ namespace o1mem {
 
 namespace {
 
-// Builds one table set (a level-1 node per 2 MiB window) with leaves of
-// `prot`. `extents` must cover [0, file_bytes) in order.
-Result<std::vector<NodeRef>> BuildSet(SimContext* ctx, std::span<const FileExtentView> extents,
-                                      uint64_t file_bytes, Prot prot) {
-  std::vector<NodeRef> nodes;
-  size_t cursor = 0;  // index into extents, advanced monotonically
-  for (uint64_t window = 0; window < file_bytes; window += BytesPerNode(1)) {
-    auto node = std::make_shared<PageTableNode>();
-    ctx->Charge(ctx->cost().pt_node_alloc_cycles);
-    ctx->counters().pt_nodes_allocated++;
-    const uint64_t window_end = std::min(window + BytesPerNode(1), file_bytes);
-    for (uint64_t off = window; off < window_end; off += kPageSize) {
-      while (cursor < extents.size() &&
-             extents[cursor].file_offset + extents[cursor].bytes <= off) {
-        ++cursor;
-      }
-      if (cursor >= extents.size() || extents[cursor].file_offset > off) {
-        return Corruption("file extents do not cover its size");
-      }
-      const FileExtentView& e = extents[cursor];
-      PtEntry& entry = node->at(static_cast<int>((off - window) >> kPageShift));
-      entry.kind = PtEntry::Kind::kLeaf;
-      entry.paddr = e.paddr + (off - e.file_offset);
-      entry.prot = prot;
-      node->live_entries++;
-      ctx->Charge(ctx->cost().pte_write_cycles);
-      ctx->counters().ptes_written++;
+// The first page offset below `file_bytes` that `extents`, walked in order,
+// leave uncovered; `file_bytes` when there is none.
+uint64_t FirstHole(std::span<const FileExtentView> extents, uint64_t file_bytes) {
+  uint64_t off = 0;  // the next page to cover
+  for (const FileExtentView& e : extents) {
+    if (off >= file_bytes || e.file_offset > off) {
+      break;
     }
-    nodes.push_back(std::move(node));
+    off = std::max(off, AlignUp(e.file_offset + e.bytes, kPageSize));
   }
-  return nodes;
+  return std::min(off, file_bytes);
 }
 
 }  // namespace
+
+const PrecreatedTables::Nodes& PrecreatedTables::Variant(Prot prot) const {
+  const bool rw = HasProt(prot, Prot::kWrite);
+  std::optional<Nodes>& slot = rw ? read_write_ : read_only_;
+  if (slot.has_value()) {
+    return *slot;
+  }
+  Nodes& nodes = slot.emplace();
+  const Prot leaf_prot = rw ? Prot::kReadWrite : Prot::kRead;
+  size_t cursor = 0;  // index into extents_, advanced monotonically
+  for (uint64_t window = 0; window < file_bytes_; window += BytesPerNode(1)) {
+    auto node = std::make_shared<PageTableNode>();
+    const uint64_t window_end = std::min(window + BytesPerNode(1), file_bytes_);
+    for (uint64_t off = window; off < window_end; off += kPageSize) {
+      while (cursor < extents_.size() &&
+             extents_[cursor].file_offset + extents_[cursor].bytes <= off) {
+        ++cursor;
+      }
+      O1_CHECK(cursor < extents_.size() && extents_[cursor].file_offset <= off);
+      const FileExtentView& e = extents_[cursor];
+      PtEntry& entry = node->at(static_cast<int>((off - window) >> kPageShift));
+      entry.kind = PtEntry::Kind::kLeaf;
+      entry.paddr = e.paddr + (off - e.file_offset);
+      entry.prot = leaf_prot;
+      node->live_entries++;
+    }
+    nodes.l1.push_back(std::move(node));
+  }
+  for (size_t g = 0; g < l2_group_count(); ++g) {
+    auto l2 = std::make_shared<PageTableNode>();
+    for (int i = 0; i < kPtEntriesPerNode; ++i) {
+      l2->at(i) = PtEntry{.kind = PtEntry::Kind::kTable,
+                          .child = nodes.l1[g * kPtEntriesPerNode + static_cast<size_t>(i)]};
+    }
+    l2->live_entries = kPtEntriesPerNode;
+    nodes.l2.push_back(std::move(l2));
+  }
+  return nodes;
+}
 
 Result<PrecreatedTables> BuildPrecreatedTables(SimContext* ctx, PhysicalMemory* phys,
                                                std::span<const FileExtentView> extents,
@@ -48,89 +67,44 @@ Result<PrecreatedTables> BuildPrecreatedTables(SimContext* ctx, PhysicalMemory* 
   if (file_bytes == 0) {
     return InvalidArgument("cannot pre-create tables for an empty file");
   }
-  PrecreatedTables tables;
-  tables.file_bytes = file_bytes;
-  auto ro = BuildSet(ctx, extents, file_bytes, Prot::kRead);
-  if (!ro.ok()) {
-    return ro.status();
+  const CostModel& c = ctx->cost();
+  EventCounters& counters = ctx->counters();
+  if (const uint64_t hole = FirstHole(extents, file_bytes); hole < file_bytes) {
+    // The read-only pass allocates the hole's window and writes every PTE
+    // before it, then fails.
+    const uint64_t nodes = hole / BytesPerNode(1) + 1;
+    const uint64_t ptes = hole >> kPageShift;
+    ctx->Charge(nodes * c.pt_node_alloc_cycles + ptes * c.pte_write_cycles);
+    counters.pt_nodes_allocated += nodes;
+    counters.ptes_written += ptes;
+    return Corruption("file extents do not cover its size");
   }
-  auto rw = BuildSet(ctx, extents, file_bytes, Prot::kReadWrite);
-  if (!rw.ok()) {
-    return rw.status();
-  }
-  tables.read_only = std::move(ro).value();
-  tables.read_write = std::move(rw).value();
-  // Wrap full groups of 512 windows into level-2 (PD) nodes: one pointer
-  // store per GiB at map time.
-  const size_t groups = tables.read_write.size() / kPtEntriesPerNode;
-  for (size_t g = 0; g < groups; ++g) {
-    auto ro_l2 = std::make_shared<PageTableNode>();
-    auto rw_l2 = std::make_shared<PageTableNode>();
-    ctx->Charge(2 * ctx->cost().pt_node_alloc_cycles);
-    ctx->counters().pt_nodes_allocated += 2;
-    for (int i = 0; i < kPtEntriesPerNode; ++i) {
-      const size_t child = g * kPtEntriesPerNode + static_cast<size_t>(i);
-      ro_l2->at(i) = PtEntry{.kind = PtEntry::Kind::kTable,
-                             .child = tables.read_only[child]};
-      rw_l2->at(i) = PtEntry{.kind = PtEntry::Kind::kTable,
-                             .child = tables.read_write[child]};
-      ctx->Charge(2 * ctx->cost().pte_write_cycles);
-    }
-    ro_l2->live_entries = kPtEntriesPerNode;
-    rw_l2->live_entries = kPtEntriesPerNode;
-    tables.read_only_l2.push_back(std::move(ro_l2));
-    tables.read_write_l2.push_back(std::move(rw_l2));
-  }
+  PrecreatedTables tables(extents, file_bytes);
+  // Per variant: a node per window with a leaf PTE per page, then a node
+  // per L2 group with 512 table entries (not counted as ptes_written).
+  const uint64_t windows = tables.window_count();
+  const uint64_t groups = tables.l2_group_count();
+  const uint64_t pages = PagesFor(file_bytes);
+  ctx->Charge(2 * ((windows + groups) * c.pt_node_alloc_cycles +
+                   (pages + groups * kPtEntriesPerNode) * c.pte_write_cycles));
+  counters.pt_nodes_allocated += tables.node_count();
+  counters.ptes_written += 2 * pages;
   if (persist_in_nvm) {
     // Each node is one 4 KiB page written to NVM alongside the file.
-    const CostModel& c = ctx->cost();
     ctx->Charge(tables.node_count() * c.NvmWriteBulkCycles(kPageSize));
   }
   return tables;
 }
 
-Result<PrecreatedTables> RehydratePrecreatedTables(std::span<const Paddr> page_paddrs,
+Result<PrecreatedTables> RehydratePrecreatedTables(std::span<const FileExtentView> extents,
                                                    uint64_t file_bytes) {
-  if (file_bytes == 0 || page_paddrs.size() != PagesFor(file_bytes)) {
-    return InvalidArgument("sidecar page list does not match the file size");
+  if (file_bytes == 0) {
+    return InvalidArgument("cannot rehydrate tables for an empty file");
   }
-  PrecreatedTables tables;
-  tables.file_bytes = file_bytes;
-  auto rehydrate_set = [&](Prot prot) {
-    std::vector<NodeRef> nodes;
-    for (uint64_t window = 0; window < file_bytes; window += BytesPerNode(1)) {
-      auto node = std::make_shared<PageTableNode>();
-      const uint64_t window_end = std::min(window + BytesPerNode(1), file_bytes);
-      for (uint64_t off = window; off < window_end; off += kPageSize) {
-        PtEntry& entry = node->at(static_cast<int>((off - window) >> kPageShift));
-        entry.kind = PtEntry::Kind::kLeaf;
-        entry.paddr = page_paddrs[off >> kPageShift];
-        entry.prot = prot;
-        node->live_entries++;
-      }
-      nodes.push_back(std::move(node));
-    }
-    return nodes;
-  };
-  tables.read_only = rehydrate_set(Prot::kRead);
-  tables.read_write = rehydrate_set(Prot::kReadWrite);
-  const size_t groups = tables.read_write.size() / kPtEntriesPerNode;
-  for (size_t g = 0; g < groups; ++g) {
-    auto ro_l2 = std::make_shared<PageTableNode>();
-    auto rw_l2 = std::make_shared<PageTableNode>();
-    for (int i = 0; i < kPtEntriesPerNode; ++i) {
-      const size_t child = g * kPtEntriesPerNode + static_cast<size_t>(i);
-      ro_l2->at(i) = PtEntry{.kind = PtEntry::Kind::kTable,
-                             .child = tables.read_only[child]};
-      rw_l2->at(i) = PtEntry{.kind = PtEntry::Kind::kTable,
-                             .child = tables.read_write[child]};
-    }
-    ro_l2->live_entries = kPtEntriesPerNode;
-    rw_l2->live_entries = kPtEntriesPerNode;
-    tables.read_only_l2.push_back(std::move(ro_l2));
-    tables.read_write_l2.push_back(std::move(rw_l2));
+  if (FirstHole(extents, file_bytes) < file_bytes) {
+    return Corruption("file extents do not cover its size");
   }
-  return tables;
+  return PrecreatedTables(extents, file_bytes);
 }
 
 }  // namespace o1mem

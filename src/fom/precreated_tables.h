@@ -13,9 +13,16 @@
 // Building is O(pages) and happens once (at file creation/resize); every
 // subsequent map is O(windows) splices. When the file is persistent the
 // nodes are charged as NVM writes and survive crashes.
+//
+// Simulated cost and host work are kept apart. BuildPrecreatedTables charges
+// the whole build at its program point; the host PageTableNodes of a
+// variant are built on the first ForProt/ForProtL2 call that asks for it,
+// charge nothing, and are then shared by every splice. A segment nobody
+// splices never costs the host its O(pages) of nodes.
 #ifndef O1MEM_SRC_FOM_PRECREATED_TABLES_H_
 #define O1MEM_SRC_FOM_PRECREATED_TABLES_H_
 
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -25,45 +32,57 @@
 
 namespace o1mem {
 
-struct PrecreatedTables {
-  std::vector<NodeRef> read_only;   // one level-1 node per 2 MiB window
-  std::vector<NodeRef> read_write;
+class PrecreatedTables {
+ public:
+  // `extents` must cover [0, file_bytes) in file-offset order; the
+  // factories below check that before constructing.
+  PrecreatedTables(std::span<const FileExtentView> extents, uint64_t file_bytes)
+      : extents_(extents.begin(), extents.end()), file_bytes_(file_bytes) {}
+
+  uint64_t file_bytes() const { return file_bytes_; }
+  // One level-1 node per 2 MiB window, per variant.
+  size_t window_count() const { return (file_bytes_ + BytesPerNode(1) - 1) / BytesPerNode(1); }
   // Level-2 wrappers: one PD node per full GROUP of 512 level-1 nodes, so a
   // 1 GiB-aligned span of the file splices with ONE store ("2MB, 1GB" --
   // both natural granularities of Sec. 3.1). Files under 1 GiB have none.
-  std::vector<NodeRef> read_only_l2;
-  std::vector<NodeRef> read_write_l2;
-  uint64_t file_bytes = 0;
+  size_t l2_group_count() const { return window_count() / kPtEntriesPerNode; }
+  uint64_t node_count() const { return 2 * (window_count() + l2_group_count()); }
 
-  size_t window_count() const { return read_write.size(); }
-  size_t l2_group_count() const { return read_write_l2.size(); }
-  uint64_t node_count() const {
-    return 2 * (read_write.size() + read_write_l2.size());
-  }
+  // The level-1 / level-2 nodes of the variant serving `prot`; built on
+  // first use (host only, uncharged).
+  const std::vector<NodeRef>& ForProt(Prot prot) const { return Variant(prot).l1; }
+  const std::vector<NodeRef>& ForProtL2(Prot prot) const { return Variant(prot).l2; }
 
-  const std::vector<NodeRef>& ForProt(Prot prot) const {
-    return HasProt(prot, Prot::kWrite) ? read_write : read_only;
-  }
-  const std::vector<NodeRef>& ForProtL2(Prot prot) const {
-    return HasProt(prot, Prot::kWrite) ? read_write_l2 : read_only_l2;
-  }
+ private:
+  struct Nodes {
+    std::vector<NodeRef> l1;
+    std::vector<NodeRef> l2;  // l2[g] points at l1[512 g .. 512 g + 511]
+  };
+  const Nodes& Variant(Prot prot) const;
+
+  std::vector<FileExtentView> extents_;
+  uint64_t file_bytes_;
+  mutable std::optional<Nodes> read_only_;
+  mutable std::optional<Nodes> read_write_;
 };
 
-// Builds both table sets for a file backed by `extents` (sorted by
-// file_offset, covering [0, file_bytes) with no holes). When
-// `persist_in_nvm` is set, each built node is additionally charged as a
-// 4 KiB NVM write (the table is stored next to the file's data).
+// Charges the build of both table sets for a file backed by `extents`
+// (sorted by file_offset, covering [0, file_bytes) with no holes): a node
+// allocation per window and per L2 group, a PTE write per page and per L2
+// entry, for each variant. When `persist_in_nvm` is set, each node is
+// additionally charged as a 4 KiB NVM write (the table is stored next to
+// the file's data). A hole is corruption, charged up to where the
+// read-only pass would have found it.
 Result<PrecreatedTables> BuildPrecreatedTables(SimContext* ctx, PhysicalMemory* phys,
                                                std::span<const FileExtentView> extents,
                                                uint64_t file_bytes, bool persist_in_nvm);
 
-// Rehydrates a table set from a validated NVM sidecar: one backing paddr per
-// 4 KiB page of the file. The nodes already exist in NVM -- nothing is
-// allocated or written in the model's accounting (no pt_node/pte charges),
-// which is precisely the O(1)-after-reboot property; the caller pays only
-// for reading the sidecar. `page_paddrs` must have ceil(file_bytes/4K)
-// entries.
-Result<PrecreatedTables> RehydratePrecreatedTables(std::span<const Paddr> page_paddrs,
+// Rehydrates a table set from a validated NVM sidecar whose paddrs agree
+// with `extents`. The nodes already exist in NVM -- nothing is allocated or
+// written in the model's accounting (no pt_node/pte charges), which is
+// precisely the O(1)-after-reboot property; the caller pays only for
+// reading the sidecar.
+Result<PrecreatedTables> RehydratePrecreatedTables(std::span<const FileExtentView> extents,
                                                    uint64_t file_bytes);
 
 }  // namespace o1mem

@@ -1,54 +1,80 @@
 #include "src/fs/block_bitmap.h"
 
 #include <algorithm>
+#include <bit>
 
 namespace o1mem {
 
+void BitVector::Assign(uint64_t first, uint64_t count, bool value) {
+  const uint64_t end = first + count;
+  O1_CHECK(end >= first && end <= size_);
+  while (first < end) {
+    const uint64_t shift = first & 63;
+    const uint64_t n = std::min(64 - shift, end - first);
+    const uint64_t mask = (n == 64 ? ~uint64_t{0} : (uint64_t{1} << n) - 1) << shift;
+    uint64_t& word = words_[first >> 6];
+    word = value ? (word | mask) : (word & ~mask);
+    first += n;
+  }
+}
+
+uint64_t BitVector::Find(bool value, uint64_t from, uint64_t limit) const {
+  const uint64_t flip = value ? 0 : ~uint64_t{0};
+  for (uint64_t i = from; i < limit; i = (i | 63) + 1) {
+    const uint64_t word = (words_[i >> 6] ^ flip) >> (i & 63);
+    if (word != 0) {
+      return std::min(limit, i + static_cast<uint64_t>(std::countr_zero(word)));
+    }
+  }
+  return limit;
+}
+
+uint64_t BitVector::Count() const {
+  uint64_t n = 0;
+  for (uint64_t word : words_) {
+    n += static_cast<uint64_t>(std::popcount(word));
+  }
+  return n;
+}
+
 BlockBitmap::BlockBitmap(SimContext* ctx, uint64_t block_count)
-    : ctx_(ctx), bits_(block_count, false), free_blocks_(block_count) {
+    : ctx_(ctx), bits_(block_count), free_blocks_(block_count) {
   O1_CHECK(ctx != nullptr);
   O1_CHECK(block_count > 0);
 }
 
 std::optional<uint64_t> BlockBitmap::FindRun(uint64_t from, uint64_t limit,
                                              uint64_t count) const {
-  uint64_t run = 0;
-  for (uint64_t i = from; i < limit; ++i) {
-    if (bits_[i]) {
-      run = 0;
-    } else if (++run == count) {
-      return i + 1 - count;
+  // Hop from each free run's start to the allocated block that ends it.
+  for (uint64_t start = bits_.Find(false, from, limit); limit - start >= count;) {
+    const uint64_t end = bits_.Find(true, start, start + count);
+    if (end == start + count) {
+      return start;
     }
+    start = bits_.Find(false, end, limit);
   }
   return std::nullopt;
 }
 
 BlockExtent BlockBitmap::BestRun(uint64_t from, uint64_t limit, uint64_t cap) const {
   BlockExtent best;
-  uint64_t run = 0;
-  for (uint64_t i = from; i < limit; ++i) {
-    if (bits_[i]) {
-      run = 0;
-      continue;
-    }
-    ++run;
-    if (run > best.count) {
-      best.start = i + 1 - run;
-      best.count = run;
-      if (best.count >= cap) {
-        best.count = cap;
+  for (uint64_t start = bits_.Find(false, from, limit); start < limit;) {
+    const uint64_t end = bits_.Find(true, start, start + std::min(cap, limit - start));
+    if (end - start > best.count) {
+      best = BlockExtent{.start = start, .count = end - start};
+      if (best.count == cap) {
         break;
       }
     }
+    start = bits_.Find(false, end, limit);
   }
   return best;
 }
 
 void BlockBitmap::Mark(BlockExtent extent, bool allocated) {
-  for (uint64_t i = extent.start; i < extent.start + extent.count; ++i) {
-    O1_CHECK_MSG(bits_[i] != allocated, "bitmap double alloc/free");
-    bits_[i] = allocated;
-  }
+  const uint64_t end = extent.start + extent.count;
+  O1_CHECK_MSG(bits_.Find(allocated, extent.start, end) == end, "bitmap double alloc/free");
+  bits_.Assign(extent.start, extent.count, allocated);
   if (allocated) {
     free_blocks_ -= extent.count;
   } else {
@@ -69,7 +95,7 @@ Result<BlockExtent> BlockBitmap::AllocExtent(uint64_t count) {
   }
   auto start = FindRun(hint_, bits_.size(), count);
   if (!start.has_value()) {
-    start = FindRun(0, std::min(hint_ + count, static_cast<uint64_t>(bits_.size())), count);
+    start = FindRun(0, std::min(hint_ + count, bits_.size()), count);
   }
   if (!start.has_value()) {
     return OutOfMemory("no contiguous run of requested size (fragmented)");
@@ -106,17 +132,16 @@ Status BlockBitmap::FreeExtent(BlockExtent extent) {
   if (extent.count == 0 || extent.start + extent.count > bits_.size()) {
     return InvalidArgument("extent out of range");
   }
-  for (uint64_t i = extent.start; i < extent.start + extent.count; ++i) {
-    if (!bits_[i]) {
-      return InvalidArgument("double free in bitmap");
-    }
+  const uint64_t end = extent.start + extent.count;
+  if (bits_.Find(false, extent.start, end) != end) {
+    return InvalidArgument("double free in bitmap");
   }
   ctx_->Charge(ctx_->cost().extent_free_cycles);
   Mark(extent, false);
   return OkStatus();
 }
 
-Status BlockBitmap::Reset(const std::vector<bool>& allocated) {
+Status BlockBitmap::Reset(const BitVector& allocated) {
   if (allocated.size() != bits_.size()) {
     return InvalidArgument("bitmap reset size mismatch");
   }
@@ -124,27 +149,18 @@ Status BlockBitmap::Reset(const std::vector<bool>& allocated) {
   // bit array (1 bit per block).
   ctx_->Charge(ctx_->cost().DramBulkCycles(bits_.size() / 8 + 1));
   bits_ = allocated;
-  free_blocks_ = 0;
-  for (bool bit : bits_) {
-    free_blocks_ += bit ? 0 : 1;
-  }
+  free_blocks_ = bits_.size() - bits_.Count();
   hint_ = 0;
   return OkStatus();
 }
 
 bool BlockBitmap::IsAllocated(uint64_t block) const {
   O1_CHECK(block < bits_.size());
-  return bits_[block];
+  return bits_.Test(block);
 }
 
 uint64_t BlockBitmap::LargestFreeRun() const {
-  uint64_t best = 0;
-  uint64_t run = 0;
-  for (bool bit : bits_) {
-    run = bit ? 0 : run + 1;
-    best = std::max(best, run);
-  }
-  return best;
+  return BestRun(0, bits_.size(), bits_.size()).count;
 }
 
 }  // namespace o1mem

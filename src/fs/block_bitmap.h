@@ -6,6 +6,10 @@
 // Extent allocation uses next-fit with a roving hint, which keeps typical
 // allocations O(1)-ish when the device is far from full -- exactly the
 // regime the paper says file systems are optimized for.
+//
+// The bits live in 64-bit words and every scan skips whole words, so the
+// host cost of a scan is the simulated bitmap's size in words, not in bits.
+// Simulated charges are per call and do not depend on the scan.
 #ifndef O1MEM_SRC_FS_BLOCK_BITMAP_H_
 #define O1MEM_SRC_FS_BLOCK_BITMAP_H_
 
@@ -23,6 +27,27 @@ namespace o1mem {
 struct BlockExtent {
   uint64_t start = 0;
   uint64_t count = 0;
+};
+
+// Fixed-size bit array in 64-bit words; bits past size() stay zero.
+class BitVector {
+ public:
+  BitVector() = default;
+  explicit BitVector(uint64_t size) : size_(size), words_((size + 63) / 64, 0) {}
+
+  uint64_t size() const { return size_; }
+  bool Test(uint64_t i) const { return (words_[i >> 6] >> (i & 63)) & 1; }
+  // Sets bits [first, first + count) to `value`.
+  void Assign(uint64_t first, uint64_t count, bool value);
+  // The first index in [from, limit) whose bit is `value`, else `limit`.
+  // Requires limit <= size().
+  uint64_t Find(bool value, uint64_t from, uint64_t limit) const;
+  // Number of set bits.
+  uint64_t Count() const;
+
+ private:
+  uint64_t size_ = 0;
+  std::vector<uint64_t> words_;
 };
 
 class BlockBitmap {
@@ -48,7 +73,7 @@ class BlockBitmap {
 
   // Crash recovery: replaces the whole bitmap with `allocated` (rebuilt from
   // the surviving extent trees). Linear scan cost charged.
-  Status Reset(const std::vector<bool>& allocated);
+  Status Reset(const BitVector& allocated);
   uint64_t free_blocks() const { return free_blocks_; }
   uint64_t block_count() const { return bits_.size(); }
 
@@ -64,7 +89,7 @@ class BlockBitmap {
   void Mark(BlockExtent extent, bool allocated);
 
   SimContext* ctx_;
-  std::vector<bool> bits_;  // true = allocated
+  BitVector bits_;  // set = allocated
   uint64_t free_blocks_;
   uint64_t hint_ = 0;  // next-fit roving pointer
 };

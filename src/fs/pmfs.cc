@@ -1019,35 +1019,26 @@ bool Pmfs::InDataArea(const FileExtent& e) const {
 
 Pmfs::BlockClaims Pmfs::ClaimBlocks() const {
   BlockClaims claims;
-  claims.owned.assign(region_bytes_ >> kPageShift, false);
-  std::fill_n(claims.owned.begin(), meta_blocks_, true);
+  claims.owned = BitVector(region_bytes_ >> kPageShift);
+  claims.owned.Assign(0, meta_blocks_, true);
   std::vector<InodeId> ids;
   ids.reserve(inodes_.size());
   for (const auto& [id, inode] : inodes_) {
     ids.push_back(id);
   }
   std::sort(ids.begin(), ids.end());
-  // The extent's span of `owned`.
-  auto blocks_of = [&](const FileExtent& e) {
-    const auto first = claims.owned.begin() + static_cast<std::ptrdiff_t>(BlockOf(e.paddr));
-    return std::pair(first, first + static_cast<std::ptrdiff_t>(e.bytes >> kPageShift));
-  };
   for (InodeId id : ids) {
     const std::vector<FileExtent> extents = inodes_.at(id).extents.Extents();
     const bool claimable = std::all_of(extents.begin(), extents.end(), [&](const FileExtent& e) {
-      if (!InDataArea(e)) {
-        return false;
-      }
-      const auto [first, last] = blocks_of(e);
-      return std::find(first, last, true) == last;
+      const uint64_t last = BlockOf(e.paddr) + (e.bytes >> kPageShift);
+      return InDataArea(e) && claims.owned.Find(true, BlockOf(e.paddr), last) == last;
     });
     if (!claimable) {
       claims.rejected.push_back(id);
       continue;
     }
     for (const FileExtent& e : extents) {
-      const auto [first, last] = blocks_of(e);
-      std::fill(first, last, true);
+      claims.owned.Assign(BlockOf(e.paddr), e.bytes >> kPageShift, true);
       claims.runs.push_back({BlockOf(e.paddr), e.bytes >> kPageShift, id});
     }
   }
@@ -1085,14 +1076,14 @@ void Pmfs::RebuildBitmap(BlockClaims claims) {
   for (InodeId id : claims.rejected) {
     inodes_.at(id).quarantined = true;
   }
-  std::vector<bool>& owned = claims.owned;
+  BitVector& owned = claims.owned;
   // Sticky-unreadable lines reported by the platform (ARS-style bad-line
   // list) are fenced off so the allocator never hands them out.
   const FaultInjector* fi = machine_->phys().fault_injector();
   ForEachUnreadableLine(region_base_, [&](Paddr bad) {
     const uint64_t block = BlockOf(bad);
-    if (block >= meta_blocks_ && !owned[block] && fi->IsSticky(bad)) {
-      owned[block] = true;
+    if (block >= meta_blocks_ && !owned.Test(block) && fi->IsSticky(bad)) {
+      owned.Assign(block, 1, true);
       bad_blocks_.insert(block);
     }
   });
@@ -1101,14 +1092,12 @@ void Pmfs::RebuildBitmap(BlockClaims claims) {
   // kZeroEpoch hands out pre-zeroed blocks; a crash may have interrupted a
   // background zero, so re-zero free space before it can be reallocated.
   if (zero_policy_ == ZeroPolicy::kZeroEpoch) {
-    const auto begin = owned.begin();
-    auto run = std::find(begin + static_cast<std::ptrdiff_t>(meta_blocks_), owned.end(), false);
-    while (run != owned.end()) {
-      const auto run_end = std::find(run, owned.end(), true);
-      Status zeroed = ZeroOnFree(AddrOf(static_cast<uint64_t>(run - begin)),
-                                 static_cast<uint64_t>(run_end - run) << kPageShift);
+    const uint64_t blocks = owned.size();
+    for (uint64_t run = owned.Find(false, meta_blocks_, blocks); run < blocks;) {
+      const uint64_t run_end = owned.Find(true, run, blocks);
+      Status zeroed = ZeroOnFree(AddrOf(run), (run_end - run) << kPageShift);
       O1_CHECK(zeroed.ok());
-      run = std::find(run_end, owned.end(), false);
+      run = owned.Find(false, run_end, blocks);
     }
   }
 }

@@ -328,7 +328,7 @@ class Pmfs : public FileSystem {
   struct BlockClaims {
     std::vector<BlockClaim> runs;   // sorted by first_block, disjoint
     std::vector<InodeId> rejected;  // inodes that claimed nothing
-    std::vector<bool> owned;        // one bit per block: metadata area + runs
+    BitVector owned;                // one bit per block: metadata area + runs
     // The inode whose run covers `block`, or kInvalidInode.
     InodeId OwnerOf(uint64_t block) const;
   };

@@ -4,8 +4,10 @@
 #ifndef O1MEM_SRC_SUPPORT_LE_BYTES_H_
 #define O1MEM_SRC_SUPPORT_LE_BYTES_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <type_traits>
 #include <vector>
 
@@ -15,8 +17,12 @@ template <class T>
 inline T LoadLe(const uint8_t* p) {
   static_assert(std::is_unsigned_v<T>);
   T x = 0;
-  for (size_t i = sizeof(T); i-- > 0;) {
-    x = static_cast<T>((x << 8) | p[i]);
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&x, p, sizeof(T));  // one load: compilers do not always fuse the loop
+  } else {
+    for (size_t i = sizeof(T); i-- > 0;) {
+      x = static_cast<T>((x << 8) | p[i]);
+    }
   }
   return x;
 }

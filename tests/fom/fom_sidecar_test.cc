@@ -185,5 +185,96 @@ TEST_F(FomSidecarTest, StaleSidecarAfterReallocationIsRejected) {
   EXPECT_EQ(out, data_);  // original prefix intact through the new tables
 }
 
+// A persistent segment over 1 GiB in two extents keeps a valid sidecar
+// through a crash: the first kPtSplice map after reboot splices its L2 group
+// and L1 tail from nodes built on first use, reads come back through both
+// sides of the extent seam, and Protect swaps the mapping to the RO set. A
+// corrupted sidecar still takes the rebuild-and-rewrite path.
+TEST_F(FomSidecarTest, GibibyteMultiExtentSegmentSplicesAfterCrash) {
+  SystemConfig config;
+  config.machine.dram_bytes = 32 * kMiB;
+  config.machine.nvm_bytes = 2 * kGiB;
+  sys_ = std::make_unique<System>(config);
+  Pmfs& pmfs = sys_->pmfs();
+  // Two 640 MiB holes and a shorter tail: no free run fits the segment, so
+  // it is built from the tail plus the first hole.
+  for (const char* path : {"/a", "/pin1", "/b", "/pin2"}) {
+    auto id = pmfs.Create(path, FileFlags{.persistent = true});
+    ASSERT_TRUE(id.ok());
+    ASSERT_TRUE(pmfs.Resize(*id, path[1] == 'p' ? kPageSize : 640 * kMiB).ok());
+  }
+  ASSERT_TRUE(pmfs.Unlink("/a").ok());
+  ASSERT_TRUE(pmfs.Unlink("/b").ok());
+  const uint64_t bytes = kGiB + 6 * kMiB;
+  auto seg =
+      sys_->fom().CreateSegment("/big", bytes, SegmentOptions{.flags = {.persistent = true}});
+  ASSERT_TRUE(seg.ok());
+  auto extents = pmfs.Extents(*seg);
+  ASSERT_TRUE(extents.ok());
+  ASSERT_EQ(extents->size(), 2u);
+  const uint64_t seam = (*extents)[1].file_offset;
+  ASSERT_LT(seam, kGiB);  // the seam falls inside the L2 group
+  // 515 windows + 1 L2 group per variant.
+  const uint64_t nodes = 2 * (515 + 1);
+
+  const std::vector<uint64_t> offsets = {5, seam - 2, seam + 100, kGiB - 2, kGiB + 5 * kMiB};
+  auto marker = [](uint64_t off) {
+    return std::vector<uint8_t>{static_cast<uint8_t>(off), static_cast<uint8_t>(off >> 8),
+                                static_cast<uint8_t>(off >> 16), 0x5A};
+  };
+  {
+    auto launched = sys_->Launch(Backend::kFom);
+    ASSERT_TRUE(launched.ok());
+    Process* proc = *launched;
+    auto va = sys_->fom().Map(proc->fom(), *seg, Prot::kReadWrite);
+    ASSERT_TRUE(va.ok());
+    for (uint64_t off : offsets) {
+      ASSERT_TRUE(sys_->UserWrite(*proc, *va + off, marker(off)).ok()) << off;
+      ASSERT_TRUE(sys_->UserFlush(*proc, *va + off, 4).ok()) << off;
+    }
+    ASSERT_TRUE(sys_->Exit(proc).ok());
+  }
+
+  // Crash; `rebuilt` says whether recovery charged a table rebuild. Then
+  // splice-map the segment, read every marker, and protect it read-only.
+  auto crash_and_splice = [&](bool rebuilt) {
+    const uint64_t nodes_before = sys_->ctx().counters().pt_nodes_allocated;
+    ASSERT_TRUE(sys_->Crash().ok());
+    EXPECT_EQ(sys_->ctx().counters().pt_nodes_allocated - nodes_before, rebuilt ? nodes : 0);
+    auto reopened = sys_->fom().OpenSegment("/big");
+    ASSERT_TRUE(reopened.ok());
+    auto launched = sys_->Launch(Backend::kFom);
+    ASSERT_TRUE(launched.ok());
+    Process* proc = *launched;
+    const uint64_t splices_before = sys_->ctx().counters().subtree_splices;
+    auto va = sys_->fom().Map(proc->fom(), *reopened, Prot::kReadWrite,
+                              MapOptions{.mechanism = MapMechanism::kPtSplice});
+    ASSERT_TRUE(va.ok());
+    ASSERT_TRUE(IsAligned(*va, kGiB));
+    EXPECT_EQ(sys_->ctx().counters().subtree_splices - splices_before, 1u + 3u);
+    for (uint64_t off : offsets) {
+      std::vector<uint8_t> out(4);
+      ASSERT_TRUE(sys_->UserRead(*proc, *va + off, out).ok()) << off;
+      EXPECT_EQ(out, marker(off)) << off;
+    }
+    ASSERT_TRUE(sys_->fom().Protect(proc->fom(), *va, Prot::kRead).ok());
+    for (uint64_t off : offsets) {
+      EXPECT_FALSE(sys_->UserWrite(*proc, *va + off, marker(off)).ok()) << off;
+      std::vector<uint8_t> out(4);
+      ASSERT_TRUE(sys_->UserRead(*proc, *va + off, out).ok()) << off;
+      EXPECT_EQ(out, marker(off)) << off;
+    }
+    ASSERT_TRUE(sys_->Exit(proc).ok());
+  };
+  crash_and_splice(/*rebuilt=*/false);
+  // Silent corruption of the sidecar payload: recovery rebuilds the tables
+  // and rewrites the sidecar, so the next crash rehydrates again.
+  auto sidecar = pmfs.Extents(SidecarInode(*seg));
+  ASSERT_TRUE(sidecar.ok());
+  sys_->machine().fault_injector().FlipBit(sidecar->front().paddr + 4096, 3);
+  crash_and_splice(/*rebuilt=*/true);
+  crash_and_splice(/*rebuilt=*/false);
+}
+
 }  // namespace
 }  // namespace o1mem
