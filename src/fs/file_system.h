@@ -9,7 +9,9 @@
 // namespace (one directory table per file system -- directories are not the
 // paper's subject). Inode lifetime follows the paper's whole-file reference
 // counting: an inode's storage is released when its link count, open count
-// and map count all reach zero.
+// and map count all reach zero. Both file systems take the namespace, those
+// counts and discardable reclaim from one layer, InodeFs (inode_fs.h), and
+// keep only their backing.
 #ifndef O1MEM_SRC_FS_FILE_SYSTEM_H_
 #define O1MEM_SRC_FS_FILE_SYSTEM_H_
 

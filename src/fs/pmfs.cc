@@ -3,7 +3,7 @@
 #include "src/obs/span.h"
 
 #include <algorithm>
-#include <tuple>
+#include <map>
 
 #include "src/sim/fault_injector.h"
 #include "src/support/crc32.h"
@@ -175,12 +175,11 @@ std::optional<Pmfs::JournalRecord> Pmfs::Decode(std::span<const uint8_t> bytes) 
 }
 
 Pmfs::Pmfs(Machine* machine, Paddr region_base, uint64_t region_bytes, ZeroPolicy zero_policy)
-    : machine_(machine),
+    : InodeFs(machine),
       region_base_(region_base),
       region_bytes_(region_bytes),
       zero_policy_(zero_policy),
       bitmap_(&machine->ctx(), region_bytes >> kPageShift) {
-  O1_CHECK(machine != nullptr);
   O1_CHECK(IsAligned(region_base, kPageSize));
   O1_CHECK(IsAligned(region_bytes, kPageSize));
   O1_CHECK_MSG(machine->phys().TierOf(region_base) == MemTier::kNvm,
@@ -354,13 +353,7 @@ void Pmfs::ApplyRecord(const JournalRecord& r) {
       inode.flags.persistent = r.persistent;
       inode.flags.discardable = r.discardable;
       inode.quarantined = r.quarantined;
-      inode.links = 1;
-      inode.provider = std::make_unique<DaxProvider>(this, r.inode);
-      if (!ns_.AddFile(r.path1, r.inode).ok()) {
-        return;
-      }
-      inodes_.emplace(r.inode, std::move(inode));
-      next_inode_ = std::max(next_inode_, r.inode + 1);
+      (void)AddInode(std::move(inode), r.path1);
       break;
     }
     case JournalOp::kUnlink:
@@ -408,16 +401,9 @@ void Pmfs::ApplyRecord(const JournalRecord& r) {
       (void)s;
       break;
     }
-    case JournalOp::kLink: {
-      auto it = inodes_.find(r.inode);
-      if (it == inodes_.end()) {
-        return;
-      }
-      if (ns_.AddFile(r.path1, r.inode).ok()) {
-        it->second.links++;
-      }
+    case JournalOp::kLink:
+      (void)AddLink(r.path1, r.inode);
       break;
-    }
   }
 }
 
@@ -497,14 +483,6 @@ Pmfs::SlotProbe Pmfs::ParseSlot(uint32_t slot, bool apply, uint64_t expect_gener
 
 // --- inode helpers ----------------------------------------------------------
 
-Result<Pmfs::Inode*> Pmfs::Get(InodeId id) {
-  auto it = inodes_.find(id);
-  if (it == inodes_.end()) {
-    return NotFound("no such pmfs inode");
-  }
-  return &it->second;
-}
-
 Status Pmfs::CheckWritable() const {
   if (mount_mode_ == MountMode::kDegraded) {
     return ReadOnlyError("pmfs degraded (read-only): " + degrade_reason_);
@@ -520,8 +498,6 @@ Result<Pmfs::Inode*> Pmfs::GetWritable(InodeId id) {
   }
   return inode;
 }
-
-void Pmfs::TouchAtime(Inode& inode) { inode.atime = machine_->ctx().now(); }
 
 void Pmfs::Degrade(std::string reason) {
   mount_mode_ = MountMode::kDegraded;
@@ -543,12 +519,8 @@ Result<InodeId> Pmfs::Create(std::string_view path, const FileFlags& flags) {
   Inode inode(&machine_->ctx());
   inode.id = id;
   inode.flags = flags;
-  inode.links = 1;
-  inode.provider = std::make_unique<DaxProvider>(this, id);
   TouchAtime(inode);
-  O1_RETURN_IF_ERROR(ns_.AddFile(norm, id));
-  inodes_.emplace(id, std::move(inode));
-  ++next_inode_;
+  O1_RETURN_IF_ERROR(AddInode(std::move(inode), norm));
   O1_RETURN_IF_ERROR(AppendRecord(rec));
   return id;
 }
@@ -563,21 +535,13 @@ Result<InodeId> Pmfs::CreateVolatile(const FileFlags& flags) {
   Inode inode(&machine_->ctx());
   inode.id = id;
   inode.flags = flags;
-  inode.links = 0;  // born unlinked: open/map references keep it alive
   inode.journaled = false;
-  inode.provider = std::make_unique<DaxProvider>(this, id);
   TouchAtime(inode);
-  inodes_.emplace(id, std::move(inode));
-  ++next_inode_;
+  AddInode(std::move(inode));
   return id;
 }
 
 Status Pmfs::Release(InodeId id) { return MaybeFree(id); }
-
-Result<InodeId> Pmfs::LookupPath(std::string_view path) {
-  machine_->ctx().Charge(machine_->ctx().cost().file_lookup_cycles);
-  return ns_.LookupFile(path);
-}
 
 Status Pmfs::Unlink(std::string_view path) {
   O1_RETURN_IF_ERROR(CheckWritable());
@@ -588,18 +552,7 @@ Status Pmfs::Unlink(std::string_view path) {
   // Committed before any block is freed or zeroed: replay either sees the
   // unlink or a fully intact file, never a half-released one.
   O1_RETURN_IF_ERROR(AppendRecord(rec));
-  auto inode = Get(id);
-  O1_CHECK(inode.ok());
-  inode.value()->links--;
-  return MaybeFree(id);
-}
-
-std::vector<std::string> Pmfs::ListPaths() const {
-  std::vector<std::string> out;
-  for (const auto& [path, id] : ns_.AllFiles()) {
-    out.push_back(path);
-  }
-  return out;
+  return DropLink(id);
 }
 
 Status Pmfs::Mkdir(std::string_view path) {
@@ -620,11 +573,6 @@ Status Pmfs::Rmdir(std::string_view path) {
   return AppendRecord(rec);
 }
 
-Result<std::vector<DirEntry>> Pmfs::List(std::string_view path) {
-  machine_->ctx().Charge(machine_->ctx().cost().file_lookup_cycles);
-  return ns_.List(path);
-}
-
 Status Pmfs::Rename(std::string_view from, std::string_view to) {
   O1_RETURN_IF_ERROR(CheckWritable());
   machine_->ctx().Charge(machine_->ctx().cost().inode_update_cycles);
@@ -642,48 +590,8 @@ Status Pmfs::Link(std::string_view existing, std::string_view new_path) {
   O1_ASSIGN_OR_RETURN(const InodeId id, ns_.LookupFile(existing));
   O1_ASSIGN_OR_RETURN(const std::string norm, Namespace::Normalize(new_path));
   O1_ASSIGN_OR_RETURN(auto rec, Prepare({.op = JournalOp::kLink, .inode = id, .path1 = norm}));
-  O1_RETURN_IF_ERROR(ns_.AddFile(norm, id));
-  O1_ASSIGN_OR_RETURN(Inode * inode, Get(id));
-  inode->links++;
+  O1_RETURN_IF_ERROR(AddLink(norm, id));
   return AppendRecord(rec);
-}
-
-// --- reference counting -----------------------------------------------------
-
-Status Pmfs::AddOpenRef(InodeId id) {
-  O1_ASSIGN_OR_RETURN(Inode * inode, Get(id));
-  machine_->ctx().Charge(machine_->ctx().cost().refcount_op_cycles);
-  inode->opens++;
-  TouchAtime(*inode);
-  return OkStatus();
-}
-
-Status Pmfs::DropOpenRef(InodeId id) {
-  O1_ASSIGN_OR_RETURN(Inode * inode, Get(id));
-  if (inode->opens == 0) {
-    return InvalidArgument("open refcount underflow");
-  }
-  machine_->ctx().Charge(machine_->ctx().cost().refcount_op_cycles);
-  inode->opens--;
-  return MaybeFree(id);
-}
-
-Status Pmfs::AddMapRef(InodeId id) {
-  O1_ASSIGN_OR_RETURN(Inode * inode, Get(id));
-  machine_->ctx().Charge(machine_->ctx().cost().refcount_op_cycles);
-  inode->maps++;
-  TouchAtime(*inode);
-  return OkStatus();
-}
-
-Status Pmfs::DropMapRef(InodeId id) {
-  O1_ASSIGN_OR_RETURN(Inode * inode, Get(id));
-  if (inode->maps == 0) {
-    return InvalidArgument("map refcount underflow");
-  }
-  machine_->ctx().Charge(machine_->ctx().cost().refcount_op_cycles);
-  inode->maps--;
-  return MaybeFree(id);
 }
 
 // --- size changes -----------------------------------------------------------
@@ -898,11 +806,6 @@ Result<uint64_t> Pmfs::WriteAt(InodeId id, uint64_t offset, std::span<const uint
   return static_cast<uint64_t>(data.size());
 }
 
-Result<BackingProvider*> Pmfs::Provider(InodeId id) {
-  O1_ASSIGN_OR_RETURN(Inode * inode, Get(id));
-  return static_cast<BackingProvider*>(inode->provider.get());
-}
-
 Result<std::vector<FileExtentView>> Pmfs::Extents(InodeId id) {
   O1_ASSIGN_OR_RETURN(Inode * inode, Get(id));
   std::vector<FileExtentView> out;
@@ -914,49 +817,11 @@ Result<std::vector<FileExtentView>> Pmfs::Extents(InodeId id) {
   return out;
 }
 
-Result<FileStat> Pmfs::Stat(InodeId id) {
-  O1_ASSIGN_OR_RETURN(Inode * inode, Get(id));
-  FileStat st;
-  st.id = inode->id;
-  st.size = inode->size;
-  st.allocated_bytes = inode->extents.mapped_bytes();
-  st.persistent = inode->flags.persistent;
-  st.discardable = inode->flags.discardable;
-  st.link_count = inode->links;
-  st.open_count = inode->opens;
-  st.map_count = inode->maps;
-  st.extent_count = inode->extents.extent_count();
-  st.quarantined = inode->quarantined;
-  return st;
-}
-
 uint64_t Pmfs::free_bytes() const { return bitmap_.free_blocks() << kPageShift; }
 
 Result<uint64_t> Pmfs::ReclaimDiscardable(uint64_t bytes_needed) {
   O1_RETURN_IF_ERROR(CheckWritable());
-  std::vector<std::tuple<uint64_t, std::string, InodeId>> candidates;
-  for (const auto& [path, id] : ns_.AllFiles()) {
-    const Inode& inode = inodes_.at(id);
-    if (inode.flags.discardable && !inode.quarantined && inode.maps == 0 && inode.opens == 0) {
-      candidates.emplace_back(inode.atime, path, id);
-    }
-  }
-  std::sort(candidates.begin(), candidates.end());
-  uint64_t released = 0;
-  for (const auto& [atime, path, id] : candidates) {
-    if (released >= bytes_needed) {
-      break;
-    }
-    // Hard links: only the last name's unlink releases the extents.
-    const bool frees_storage = inodes_.at(id).links == 1;
-    const uint64_t bytes = inodes_.at(id).extents.mapped_bytes();
-    O1_RETURN_IF_ERROR(Unlink(path));
-    if (frees_storage) {
-      released += bytes;
-      machine_->ctx().counters().files_reclaimed++;
-    }
-  }
-  return released;
+  return InodeFs::ReclaimDiscardable(bytes_needed);
 }
 
 Status Pmfs::SetPersistent(InodeId id, bool persistent) {
@@ -973,20 +838,12 @@ Status Pmfs::SetPersistent(InodeId id, bool persistent) {
   return AppendRecord(rec);
 }
 
-Status Pmfs::MaybeFree(InodeId id) {
-  O1_ASSIGN_OR_RETURN(Inode * inode, Get(id));
-  if (inode->links > 0 || inode->opens > 0 || inode->maps > 0) {
-    return OkStatus();
-  }
+Status Pmfs::Destroy(InodeId id) {
   if (mount_mode_ == MountMode::kDegraded) {
     // Freeing rewrites the bitmap and (under kZeroEpoch) media; defer until
     // a scrub or recovery makes the mount writable again.
     return OkStatus();
   }
-  return Destroy(id);
-}
-
-Status Pmfs::Destroy(InodeId id) {
   O1_ASSIGN_OR_RETURN(Inode * inode, Get(id));
   if (inode->quarantined) {
     // Keep the blocks fenced off in the bitmap; the next scrub or recovery
@@ -1021,13 +878,7 @@ Pmfs::BlockClaims Pmfs::ClaimBlocks() const {
   BlockClaims claims;
   claims.owned = BitVector(region_bytes_ >> kPageShift);
   claims.owned.Assign(0, meta_blocks_, true);
-  std::vector<InodeId> ids;
-  ids.reserve(inodes_.size());
-  for (const auto& [id, inode] : inodes_) {
-    ids.push_back(id);
-  }
-  std::sort(ids.begin(), ids.end());
-  for (InodeId id : ids) {
+  for (InodeId id : SortedInodeIds()) {
     const std::vector<FileExtent> extents = inodes_.at(id).extents.Extents();
     const bool claimable = std::all_of(extents.begin(), extents.end(), [&](const FileExtent& e) {
       const uint64_t last = BlockOf(e.paddr) + (e.bytes >> kPageShift);
@@ -1045,6 +896,16 @@ Pmfs::BlockClaims Pmfs::ClaimBlocks() const {
   std::sort(claims.runs.begin(), claims.runs.end(),
             [](const BlockClaim& a, const BlockClaim& b) { return a.first_block < b.first_block; });
   return claims;
+}
+
+std::vector<InodeId> Pmfs::SortedInodeIds() const {
+  std::vector<InodeId> ids;
+  ids.reserve(inodes_.size());
+  for (const auto& [id, inode] : inodes_) {
+    ids.push_back(id);
+  }
+  std::sort(ids.begin(), ids.end());
+  return ids;
 }
 
 InodeId Pmfs::BlockClaims::OwnerOf(uint64_t block) const {
@@ -1293,10 +1154,17 @@ Result<ScrubReport> Pmfs::Scrub() {
   }
 
   // 5. Verdict. A scrub that repaired everything lifts a degraded mount
-  //    back to read-write; one that could not, degrades it.
+  //    back to read-write and runs the frees Destroy deferred while it
+  //    was read-only; one that could not, degrades it.
   if (healthy) {
+    const bool lifted = mount_mode_ == MountMode::kDegraded;
     mount_mode_ = MountMode::kReadWrite;
     degrade_reason_.clear();
+    if (lifted) {
+      for (InodeId id : SortedInodeIds()) {
+        O1_RETURN_IF_ERROR(MaybeFree(id));
+      }
+    }
   } else {
     Degrade(reason);
   }

@@ -16,6 +16,10 @@
 //     volatile (temporary) files do not -- Sec. 3.1's "marked at any time as
 //     volatile or persistent".
 //
+// Namespace, reference counts and discardable reclaim come from InodeFs;
+// PMFS adds extent backing, the journal around each namespace op, and the
+// guards of a degraded mount and of quarantined files.
+//
 // On-media layout (all inside [region_base, region_base + region_bytes)):
 //   block 0                          superblock (one CRC'd 64 B line)
 //   blocks [1, 1+S)                  journal slot 0
@@ -34,7 +38,9 @@
 // unrepairable, and rebuilds the bitmap. When the superblock or both
 // journal slots cannot be made durable and readable, the mount degrades to
 // read-only (MountMode::kDegraded): reads still work, every mutating op
-// returns kReadOnly, and nothing CHECK-fails.
+// returns kReadOnly, and nothing CHECK-fails. A file whose last reference
+// goes while the mount is degraded keeps its blocks until the scrub that
+// repairs the mount frees it (or a crash recovery drops it).
 //
 // Zeroing policy: kEagerZero clears new extents at allocation time (the
 // linear-time foreground cost Sec. 3.1 complains about); kZeroEpoch zeroes
@@ -49,17 +55,14 @@
 #ifndef O1MEM_SRC_FS_PMFS_H_
 #define O1MEM_SRC_FS_PMFS_H_
 
-#include <map>
-#include <memory>
 #include <optional>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/fs/block_bitmap.h"
 #include "src/fs/extent_tree.h"
-#include "src/fs/file_system.h"
+#include "src/fs/inode_fs.h"
 #include "src/sim/machine.h"
 
 namespace o1mem {
@@ -87,7 +90,15 @@ struct ScrubReport {
   bool degraded = false;  // mount state after the scrub
 };
 
-class Pmfs : public FileSystem {
+struct PmfsInode : InodeRefs {
+  bool quarantined = false;  // data/structure damaged; reads return kMediaError
+  bool journaled = true;     // false: volatile O_TMPFILE-style inode, no records
+  ExtentTree extents;
+
+  explicit PmfsInode(SimContext* ctx) : extents(ctx) {}
+};
+
+class Pmfs : public InodeFs<Pmfs, PmfsInode> {
  public:
   // Manages the NVM range [region_base, region_base + region_bytes).
   // Construction formats the region (fresh superblock + empty journal).
@@ -111,19 +122,11 @@ class Pmfs : public FileSystem {
   // Drops an unreferenced volatile inode (rollback when a map attempt
   // failed before taking a reference).
   Status Release(InodeId id);
-  Result<InodeId> LookupPath(std::string_view path) override;
   Status Unlink(std::string_view path) override;
-  std::vector<std::string> ListPaths() const override;
   Status Mkdir(std::string_view path) override;
   Status Rmdir(std::string_view path) override;
-  Result<std::vector<DirEntry>> List(std::string_view path) override;
   Status Rename(std::string_view from, std::string_view to) override;
   Status Link(std::string_view existing, std::string_view new_path) override;
-
-  Status AddOpenRef(InodeId id) override;
-  Status DropOpenRef(InodeId id) override;
-  Status AddMapRef(InodeId id) override;
-  Status DropMapRef(InodeId id) override;
 
   Status Resize(InodeId id, uint64_t size) override;
 
@@ -135,10 +138,8 @@ class Pmfs : public FileSystem {
   Result<uint64_t> WriteAt(InodeId id, uint64_t offset,
                            std::span<const uint8_t> data) override;
 
-  Result<BackingProvider*> Provider(InodeId id) override;
   Result<std::vector<FileExtentView>> Extents(InodeId id) override;
 
-  Result<FileStat> Stat(InodeId id) override;
   uint64_t free_bytes() const override;
   // Capacity available for file data: the region minus the metadata area
   // (superblock + journal slots).
@@ -146,6 +147,8 @@ class Pmfs : public FileSystem {
     return region_bytes_ - (meta_blocks_ << kPageShift);
   }
 
+  // Refused with kReadOnly on a degraded mount; quarantined files are never
+  // victims.
   Result<uint64_t> ReclaimDiscardable(uint64_t bytes_needed) override;
 
   // Crash recovery: superblock validation + journal replay + volatile-file
@@ -155,7 +158,8 @@ class Pmfs : public FileSystem {
 
   // Online fsck: revalidate superblock and journal, patrol for media
   // faults, quarantine unrepairable files, rebuild the bitmap. May repair a
-  // previously degraded mount back to read-write, or degrade a damaged one.
+  // previously degraded mount back to read-write (and then runs the frees
+  // the degraded mount deferred), or degrade a damaged one.
   Result<ScrubReport> Scrub();
 
   MountMode mount_mode() const { return mount_mode_; }
@@ -195,36 +199,7 @@ class Pmfs : public FileSystem {
   uint64_t background_zero_cycles() const { return background_zero_cycles_; }
 
  private:
-  struct Inode;
-
-  class DaxProvider : public BackingProvider {
-   public:
-    DaxProvider(Pmfs* fs, InodeId id) : fs_(fs), id_(id) {}
-    Result<Paddr> GetBackingPage(uint64_t file_offset, bool for_write) override {
-      return fs_->GetBackingPage(id_, file_offset, for_write);
-    }
-    uint64_t backing_id() const override { return id_; }
-
-   private:
-    Pmfs* fs_;
-    InodeId id_;
-  };
-
-  struct Inode {
-    InodeId id = kInvalidInode;
-    uint64_t size = 0;
-    FileFlags flags;
-    uint32_t links = 0;
-    uint32_t opens = 0;
-    uint32_t maps = 0;
-    uint64_t atime = 0;
-    bool quarantined = false;  // data/structure damaged; reads return kMediaError
-    bool journaled = true;     // false: volatile O_TMPFILE-style inode, no records
-    ExtentTree extents;
-    std::unique_ptr<DaxProvider> provider;
-
-    explicit Inode(SimContext* ctx) : extents(ctx) {}
-  };
+  friend class InodeFs<Pmfs, PmfsInode>;
 
   enum class JournalOp : uint8_t {
     kCreate = 1,
@@ -262,12 +237,17 @@ class Pmfs : public FileSystem {
     bool truncated = false;  // parsing stopped before the slot end sentinel
   };
 
-  Result<Inode*> Get(InodeId id);
   Status CheckWritable() const;            // kReadOnly on a degraded mount
   Result<Inode*> GetWritable(InodeId id);  // + degraded/quarantine guards
-  void TouchAtime(Inode& inode);
-  Status MaybeFree(InodeId id);
+  // Frees the unreferenced inode's extents and erases it. While the mount
+  // is degraded it does nothing: the repairing scrub (or recovery) frees it.
   Status Destroy(InodeId id);
+  uint64_t BytesHeld(const Inode& inode) const { return inode.extents.mapped_bytes(); }
+  void StatBacking(const Inode& inode, FileStat& st) const {
+    st.extent_count = inode.extents.extent_count();
+    st.quarantined = inode.quarantined;
+  }
+  static bool Evictable(const Inode& inode) { return !inode.quarantined; }
   Status GrowTo(Inode& inode, uint64_t new_size);
   Status ShrinkTo(Inode& inode, uint64_t new_size);
   // Zeroing applied when an extent is released (kZeroEpoch background work).
@@ -337,6 +317,8 @@ class Pmfs : public FileSystem {
   // overlapping an earlier claim rejects the whole inode, quarantined or not.
   // So the lowest inode id wins a contested block.
   BlockClaims ClaimBlocks() const;
+  // Every inode id, ascending.
+  std::vector<InodeId> SortedInodeIds() const;
   // Calls fn(line) for each unreadable 64 B line in [from, region end), in
   // address order. Uncharged: the caller prices the walk.
   template <class Fn>
@@ -353,16 +335,12 @@ class Pmfs : public FileSystem {
   uint64_t BlockOf(Paddr paddr) const { return (paddr - region_base_) >> kPageShift; }
   Paddr AddrOf(uint64_t block) const { return region_base_ + (block << kPageShift); }
 
-  Machine* machine_;
   Paddr region_base_;
   uint64_t region_bytes_;
   ZeroPolicy zero_policy_;
   uint64_t slot_blocks_ = 0;
   uint64_t meta_blocks_ = 0;  // superblock + both journal slots
   BlockBitmap bitmap_;
-  InodeId next_inode_ = 1;
-  Namespace ns_;
-  std::unordered_map<InodeId, Inode> inodes_;
 
   MountMode mount_mode_ = MountMode::kReadWrite;
   std::string degrade_reason_;

@@ -1,26 +1,15 @@
 #include "src/fs/tmpfs.h"
 
 #include <algorithm>
-#include <tuple>
 
 namespace o1mem {
 
 Tmpfs::Tmpfs(Machine* machine, PhysManager* phys_mgr, uint64_t quota_bytes)
-    : machine_(machine), phys_mgr_(phys_mgr), quota_bytes_(quota_bytes) {
-  O1_CHECK(machine != nullptr && phys_mgr != nullptr);
+    : InodeFs(machine), phys_mgr_(phys_mgr), quota_bytes_(quota_bytes) {
+  O1_CHECK(phys_mgr != nullptr);
 }
 
 Tmpfs::~Tmpfs() = default;
-
-Result<Tmpfs::Inode*> Tmpfs::Get(InodeId id) {
-  auto it = inodes_.find(id);
-  if (it == inodes_.end()) {
-    return NotFound("no such tmpfs inode");
-  }
-  return &it->second;
-}
-
-void Tmpfs::TouchAtime(Inode& inode) { inode.atime = machine_->ctx().now(); }
 
 Result<InodeId> Tmpfs::Create(std::string_view path, const FileFlags& flags) {
   if (flags.persistent) {
@@ -30,35 +19,16 @@ Result<InodeId> Tmpfs::Create(std::string_view path, const FileFlags& flags) {
   Inode inode;
   inode.id = next_inode_++;
   inode.flags = flags;
-  inode.links = 1;
-  inode.provider = std::make_unique<PageProvider>(this, inode.id);
   TouchAtime(inode);
   const InodeId id = inode.id;
-  O1_RETURN_IF_ERROR(ns_.AddFile(path, id));
-  inodes_.emplace(id, std::move(inode));
+  O1_RETURN_IF_ERROR(AddInode(std::move(inode), path));
   return id;
-}
-
-Result<InodeId> Tmpfs::LookupPath(std::string_view path) {
-  machine_->ctx().Charge(machine_->ctx().cost().file_lookup_cycles);
-  return ns_.LookupFile(path);
 }
 
 Status Tmpfs::Unlink(std::string_view path) {
   machine_->ctx().Charge(machine_->ctx().cost().file_delete_cycles);
   O1_ASSIGN_OR_RETURN(const InodeId id, ns_.RemoveFile(path));
-  auto inode = Get(id);
-  O1_CHECK(inode.ok());
-  inode.value()->links--;
-  return MaybeFree(id);
-}
-
-std::vector<std::string> Tmpfs::ListPaths() const {
-  std::vector<std::string> out;
-  for (const auto& [path, id] : ns_.AllFiles()) {
-    out.push_back(path);
-  }
-  return out;
+  return DropLink(id);
 }
 
 Status Tmpfs::Mkdir(std::string_view path) {
@@ -71,11 +41,6 @@ Status Tmpfs::Rmdir(std::string_view path) {
   return ns_.Rmdir(path);
 }
 
-Result<std::vector<DirEntry>> Tmpfs::List(std::string_view path) {
-  machine_->ctx().Charge(machine_->ctx().cost().file_lookup_cycles);
-  return ns_.List(path);
-}
-
 Status Tmpfs::Rename(std::string_view from, std::string_view to) {
   machine_->ctx().Charge(machine_->ctx().cost().inode_update_cycles);
   return ns_.Rename(from, to);
@@ -84,52 +49,15 @@ Status Tmpfs::Rename(std::string_view from, std::string_view to) {
 Status Tmpfs::Link(std::string_view existing, std::string_view new_path) {
   machine_->ctx().Charge(machine_->ctx().cost().inode_update_cycles);
   O1_ASSIGN_OR_RETURN(const InodeId id, ns_.LookupFile(existing));
-  O1_RETURN_IF_ERROR(ns_.AddFile(new_path, id));
-  O1_ASSIGN_OR_RETURN(Inode * inode, Get(id));
-  inode->links++;
-  return OkStatus();
-}
-
-Status Tmpfs::AddOpenRef(InodeId id) {
-  O1_ASSIGN_OR_RETURN(Inode * inode, Get(id));
-  machine_->ctx().Charge(machine_->ctx().cost().refcount_op_cycles);
-  inode->opens++;
-  TouchAtime(*inode);
-  return OkStatus();
-}
-
-Status Tmpfs::DropOpenRef(InodeId id) {
-  O1_ASSIGN_OR_RETURN(Inode * inode, Get(id));
-  if (inode->opens == 0) {
-    return InvalidArgument("open refcount underflow");
-  }
-  machine_->ctx().Charge(machine_->ctx().cost().refcount_op_cycles);
-  inode->opens--;
-  return MaybeFree(id);
+  return AddLink(new_path, id);
 }
 
 Status Tmpfs::AddMapRef(InodeId id) {
   O1_ASSIGN_OR_RETURN(Inode * inode, Get(id));
-  // Mapping a file that lives on borrowed second-class memory promotes its
-  // pages to first-class frames first: a revoke must never have to rip
-  // backing out from under installed PTEs.
   if (inode->borrow_bytes > 0) {
     O1_RETURN_IF_ERROR(UnborrowInode(*inode));
   }
-  machine_->ctx().Charge(machine_->ctx().cost().refcount_op_cycles);
-  inode->maps++;
-  TouchAtime(*inode);
-  return OkStatus();
-}
-
-Status Tmpfs::DropMapRef(InodeId id) {
-  O1_ASSIGN_OR_RETURN(Inode * inode, Get(id));
-  if (inode->maps == 0) {
-    return InvalidArgument("map refcount underflow");
-  }
-  machine_->ctx().Charge(machine_->ctx().cost().refcount_op_cycles);
-  inode->maps--;
-  return MaybeFree(id);
+  return InodeFs::AddMapRef(id);
 }
 
 Status Tmpfs::FreePagesFrom(Inode& inode, uint64_t first_page_index) {
@@ -171,7 +99,8 @@ Status Tmpfs::Resize(InodeId id, uint64_t size) {
   return OkStatus();
 }
 
-Result<Paddr> Tmpfs::GetOrAllocPage(InodeId id, uint64_t offset) {
+Result<Paddr> Tmpfs::GetBackingPage(InodeId id, uint64_t offset, bool for_write) {
+  (void)for_write;  // tmpfs allocates on any first touch
   O1_ASSIGN_OR_RETURN(Inode * inode, Get(id));
   if (offset >= AlignUp(std::max<uint64_t>(inode->size, 1), kPageSize)) {
     return InvalidArgument("page beyond end of tmpfs file");
@@ -269,7 +198,7 @@ Result<uint64_t> Tmpfs::WriteAt(InodeId id, uint64_t offset, std::span<const uin
     const uint64_t cur = offset + done;
     const uint64_t in_page =
         std::min<uint64_t>(kPageSize - (cur & (kPageSize - 1)), data.size() - done);
-    auto frame = GetOrAllocPage(id, AlignDown(cur, kPageSize));
+    auto frame = GetBackingPage(id, AlignDown(cur, kPageSize), /*for_write=*/true);
     if (!frame.ok()) {
       return frame.status();
     }
@@ -278,11 +207,6 @@ Result<uint64_t> Tmpfs::WriteAt(InodeId id, uint64_t offset, std::span<const uin
     done += in_page;
   }
   return static_cast<uint64_t>(data.size());
-}
-
-Result<BackingProvider*> Tmpfs::Provider(InodeId id) {
-  O1_ASSIGN_OR_RETURN(Inode * inode, Get(id));
-  return static_cast<BackingProvider*>(inode->provider.get());
 }
 
 Result<std::vector<FileExtentView>> Tmpfs::Extents(InodeId id) {
@@ -305,58 +229,7 @@ Result<std::vector<FileExtentView>> Tmpfs::Extents(InodeId id) {
   return out;
 }
 
-Result<FileStat> Tmpfs::Stat(InodeId id) {
-  O1_ASSIGN_OR_RETURN(Inode * inode, Get(id));
-  FileStat st;
-  st.id = inode->id;
-  st.size = inode->size;
-  st.allocated_bytes = inode->pages.size() * kPageSize;
-  st.persistent = inode->flags.persistent;
-  st.discardable = inode->flags.discardable;
-  st.link_count = inode->links;
-  st.open_count = inode->opens;
-  st.map_count = inode->maps;
-  st.extent_count = inode->pages.size();
-  return st;
-}
-
 uint64_t Tmpfs::free_bytes() const { return quota_bytes_ - used_bytes_; }
-
-Result<uint64_t> Tmpfs::ReclaimDiscardable(uint64_t bytes_needed) {
-  // Collect discardable, unreferenced-by-mappers files, oldest atime first.
-  std::vector<std::tuple<uint64_t, std::string, InodeId>> candidates;  // (atime, path, id)
-  for (const auto& [path, id] : ns_.AllFiles()) {
-    const Inode& inode = inodes_.at(id);
-    if (inode.flags.discardable && inode.maps == 0 && inode.opens == 0) {
-      candidates.emplace_back(inode.atime, path, id);
-    }
-  }
-  std::sort(candidates.begin(), candidates.end());
-  uint64_t released = 0;
-  for (const auto& [atime, path, id] : candidates) {
-    if (released >= bytes_needed) {
-      break;
-    }
-    // Hard links: bytes are only released by the unlink that drops the
-    // last name.
-    const bool frees_storage = inodes_.at(id).links == 1;
-    const uint64_t bytes = inodes_.at(id).pages.size() * kPageSize;
-    O1_RETURN_IF_ERROR(Unlink(path));
-    if (frees_storage) {
-      released += bytes;
-      machine_->ctx().counters().files_reclaimed++;
-    }
-  }
-  return released;
-}
-
-Status Tmpfs::MaybeFree(InodeId id) {
-  O1_ASSIGN_OR_RETURN(Inode * inode, Get(id));
-  if (inode->links > 0 || inode->opens > 0 || inode->maps > 0) {
-    return OkStatus();
-  }
-  return Destroy(id);
-}
 
 Status Tmpfs::Destroy(InodeId id) {
   O1_ASSIGN_OR_RETURN(Inode * inode, Get(id));

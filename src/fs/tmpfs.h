@@ -3,21 +3,32 @@
 // of a file is a separate page-cache entry allocated through the buddy
 // allocator, so populating or faulting a mapping does per-page work.
 //
+// Namespace, reference counts and discardable reclaim come from InodeFs;
+// tmpfs adds the page-cache backing, its quota, and borrowed second-class
+// pages that a map promotes first.
+//
 // All tmpfs contents are volatile: a machine crash empties the file system.
 #ifndef O1MEM_SRC_FS_TMPFS_H_
 #define O1MEM_SRC_FS_TMPFS_H_
 
 #include <map>
-#include <memory>
-#include <string>
-#include <unordered_map>
 
-#include "src/fs/file_system.h"
+#include "src/fs/inode_fs.h"
 #include "src/mm/phys_manager.h"
 
 namespace o1mem {
 
-class Tmpfs : public FileSystem {
+struct TmpfsInode : InodeRefs {
+  std::map<uint64_t, Paddr> pages;  // page index -> frame
+  // Borrowed second-class extent backing this file's pages (0 = none).
+  // Only discardable, unmapped files borrow; mapping one promotes its
+  // pages to first-class frames first (UnborrowInode) so a later revoke
+  // can never yank memory out from under live PTEs.
+  Paddr borrow_base = 0;
+  uint64_t borrow_bytes = 0;
+};
+
+class Tmpfs : public InodeFs<Tmpfs, TmpfsInode> {
  public:
   // Backing frames come from `phys_mgr` (DRAM); at most `quota_bytes` of
   // backing may be allocated ("one current use of tmpfs is to provide
@@ -31,38 +42,33 @@ class Tmpfs : public FileSystem {
   std::string_view name() const override { return "tmpfs"; }
 
   Result<InodeId> Create(std::string_view path, const FileFlags& flags) override;
-  Result<InodeId> LookupPath(std::string_view path) override;
   Status Unlink(std::string_view path) override;
-  std::vector<std::string> ListPaths() const override;
   Status Mkdir(std::string_view path) override;
   Status Rmdir(std::string_view path) override;
-  Result<std::vector<DirEntry>> List(std::string_view path) override;
   Status Rename(std::string_view from, std::string_view to) override;
   Status Link(std::string_view existing, std::string_view new_path) override;
 
-  Status AddOpenRef(InodeId id) override;
-  Status DropOpenRef(InodeId id) override;
+  // Mapping a file that lives on borrowed second-class memory promotes its
+  // pages to first-class frames first: a revoke must never have to rip
+  // backing out from under installed PTEs.
   Status AddMapRef(InodeId id) override;
-  Status DropMapRef(InodeId id) override;
 
   Status Resize(InodeId id, uint64_t size) override;
   Result<uint64_t> ReadAt(InodeId id, uint64_t offset, std::span<uint8_t> out) override;
   Result<uint64_t> WriteAt(InodeId id, uint64_t offset,
                            std::span<const uint8_t> data) override;
 
-  Result<BackingProvider*> Provider(InodeId id) override;
   Result<std::vector<FileExtentView>> Extents(InodeId id) override;
 
-  Result<FileStat> Stat(InodeId id) override;
   uint64_t free_bytes() const override;
   uint64_t quota_bytes() const override { return quota_bytes_; }
 
-  Result<uint64_t> ReclaimDiscardable(uint64_t bytes_needed) override;
   Status OnCrash() override;
 
   // Page-cache page for (inode, page-aligned offset), allocating (zeroed)
-  // on demand. The demand pager and the copy paths both land here.
-  Result<Paddr> GetOrAllocPage(InodeId id, uint64_t offset);
+  // on any first touch, read or write. The demand pager and the copy paths
+  // both land here.
+  Result<Paddr> GetBackingPage(InodeId id, uint64_t offset, bool for_write);
 
   // --- Second-class backing from the contiguous area (src/contig) --------
   // Revoke callback wired by System: the ContigAllocator took back the
@@ -78,46 +84,15 @@ class Tmpfs : public FileSystem {
   uint64_t borrowed_used_bytes() const { return borrowed_used_bytes_; }
 
  private:
-  struct Inode;
+  friend class InodeFs<Tmpfs, TmpfsInode>;
 
-  class PageProvider : public BackingProvider {
-   public:
-    PageProvider(Tmpfs* fs, InodeId id) : fs_(fs), id_(id) {}
-    Result<Paddr> GetBackingPage(uint64_t file_offset, bool for_write) override {
-      (void)for_write;  // tmpfs allocates on any first touch
-      return fs_->GetOrAllocPage(id_, file_offset);
-    }
-    uint64_t backing_id() const override { return id_; }
-
-   private:
-    Tmpfs* fs_;
-    InodeId id_;
-  };
-
-  struct Inode {
-    InodeId id = kInvalidInode;
-    uint64_t size = 0;
-    FileFlags flags;
-    uint32_t links = 0;
-    uint32_t opens = 0;
-    uint32_t maps = 0;
-    uint64_t atime = 0;  // coarse, whole-file (Sec. 4.1 access tracking)
-    std::map<uint64_t, Paddr> pages;  // page index -> frame
-    // Borrowed second-class extent backing this file's pages (0 = none).
-    // Only discardable, unmapped files borrow; mapping one promotes its
-    // pages to first-class frames first (UnborrowInode) so a later revoke
-    // can never yank memory out from under live PTEs.
-    Paddr borrow_base = 0;
-    uint64_t borrow_bytes = 0;
-    std::unique_ptr<PageProvider> provider;
-  };
-
-  Result<Inode*> Get(InodeId id);
-  void TouchAtime(Inode& inode);
-  // Frees all backing of `inode` and erases it. The inode must be
+  // Frees all backing of `id` and erases it. The inode must be
   // unreferenced.
   Status Destroy(InodeId id);
-  Status MaybeFree(InodeId id);
+  uint64_t BytesHeld(const Inode& inode) const { return inode.pages.size() * kPageSize; }
+  void StatBacking(const Inode& inode, FileStat& st) const {
+    st.extent_count = inode.pages.size();
+  }
   Status FreePagesFrom(Inode& inode, uint64_t first_page_index);
 
   static bool InBorrow(const Inode& inode, Paddr frame) {
@@ -130,14 +105,10 @@ class Tmpfs : public FileSystem {
   // map reference lands.
   Status UnborrowInode(Inode& inode);
 
-  Machine* machine_;
   PhysManager* phys_mgr_;
   uint64_t quota_bytes_;
   uint64_t used_bytes_ = 0;
   uint64_t borrowed_used_bytes_ = 0;
-  InodeId next_inode_ = 1;
-  Namespace ns_;
-  std::unordered_map<InodeId, Inode> inodes_;
 };
 
 }  // namespace o1mem

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <type_traits>
 
 #include "src/obs/exporters.h"
 #include "src/obs/span.h"
@@ -452,55 +453,45 @@ Status System::Close(Process& proc, int fd) {
   return OkStatus();
 }
 
-Result<uint64_t> System::Read(Process& proc, int fd, std::span<uint8_t> out) {
-  ObsSpan span(ctx(), TraceKind::kRead, out.size());
+template <class Byte>
+Result<uint64_t> System::FileIo(Process& proc, int fd, std::optional<uint64_t> at,
+                                std::span<Byte> buf) {
+  constexpr bool kWrite = std::is_const_v<Byte>;
+  ObsSpan span(ctx(), kWrite ? TraceKind::kWrite : TraceKind::kRead, buf.size());
   ChargeSyscall();
   O1_ASSIGN_OR_RETURN(Process::OpenFile * open_file, GetOpenFile(proc, fd));
+  const uint64_t offset = at.value_or(open_file->offset);
   if (tier_ != nullptr && open_file->fs == pmfs_.get()) {
-    O1_RETURN_IF_ERROR(
-        tier_->OnFileAccess(open_file->inode, open_file->offset, out.size(), false));
+    O1_RETURN_IF_ERROR(tier_->OnFileAccess(open_file->inode, offset, buf.size(), kWrite));
   }
-  auto n = open_file->fs->ReadAt(open_file->inode, open_file->offset, out);
-  if (n.ok()) {
+  auto n = [&] {
+    if constexpr (kWrite) {
+      return open_file->fs->WriteAt(open_file->inode, offset, buf);
+    } else {
+      return open_file->fs->ReadAt(open_file->inode, offset, buf);
+    }
+  }();
+  if (n.ok() && !at.has_value()) {
     open_file->offset += *n;
   }
   return n;
+}
+
+Result<uint64_t> System::Read(Process& proc, int fd, std::span<uint8_t> out) {
+  return FileIo(proc, fd, std::nullopt, out);
 }
 
 Result<uint64_t> System::Write(Process& proc, int fd, std::span<const uint8_t> data) {
-  ObsSpan span(ctx(), TraceKind::kWrite, data.size());
-  ChargeSyscall();
-  O1_ASSIGN_OR_RETURN(Process::OpenFile * open_file, GetOpenFile(proc, fd));
-  if (tier_ != nullptr && open_file->fs == pmfs_.get()) {
-    O1_RETURN_IF_ERROR(
-        tier_->OnFileAccess(open_file->inode, open_file->offset, data.size(), true));
-  }
-  auto n = open_file->fs->WriteAt(open_file->inode, open_file->offset, data);
-  if (n.ok()) {
-    open_file->offset += *n;
-  }
-  return n;
+  return FileIo(proc, fd, std::nullopt, data);
 }
 
 Result<uint64_t> System::Pread(Process& proc, int fd, uint64_t offset, std::span<uint8_t> out) {
-  ObsSpan span(ctx(), TraceKind::kRead, out.size());
-  ChargeSyscall();
-  O1_ASSIGN_OR_RETURN(Process::OpenFile * open_file, GetOpenFile(proc, fd));
-  if (tier_ != nullptr && open_file->fs == pmfs_.get()) {
-    O1_RETURN_IF_ERROR(tier_->OnFileAccess(open_file->inode, offset, out.size(), false));
-  }
-  return open_file->fs->ReadAt(open_file->inode, offset, out);
+  return FileIo(proc, fd, offset, out);
 }
 
 Result<uint64_t> System::Pwrite(Process& proc, int fd, uint64_t offset,
                                 std::span<const uint8_t> data) {
-  ObsSpan span(ctx(), TraceKind::kWrite, data.size());
-  ChargeSyscall();
-  O1_ASSIGN_OR_RETURN(Process::OpenFile * open_file, GetOpenFile(proc, fd));
-  if (tier_ != nullptr && open_file->fs == pmfs_.get()) {
-    O1_RETURN_IF_ERROR(tier_->OnFileAccess(open_file->inode, offset, data.size(), true));
-  }
-  return open_file->fs->WriteAt(open_file->inode, offset, data);
+  return FileIo(proc, fd, offset, data);
 }
 
 Status System::Ftruncate(Process& proc, int fd, uint64_t size) {

@@ -16,6 +16,8 @@
 #define O1MEM_SRC_OS_SYSTEM_H_
 
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -235,6 +237,12 @@ class System {
 
  private:
   Result<Process::OpenFile*> GetOpenFile(Process& proc, int fd);
+  // The one body of Read/Write/Pread/Pwrite (a const `Byte` writes): span,
+  // syscall charge, fd lookup, tier coherence hook, file-system call. With
+  // no explicit offset `at`, the fd's cursor is used and advanced.
+  template <class Byte>
+  Result<uint64_t> FileIo(Process& proc, int fd, std::optional<uint64_t> at,
+                          std::span<Byte> buf);
   Result<Vaddr> MmapBaseline(Process& proc, const MmapArgs& args);
   Result<Vaddr> MmapFom(Process& proc, const MmapArgs& args);
   void ChargeSyscall();

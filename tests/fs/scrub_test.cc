@@ -227,6 +227,33 @@ TEST_F(ScrubTest, StickyJournalFaultDegradesThenRepairs) {
   ASSERT_TRUE(fs_.WriteAt(*id, 0, data).ok());
 }
 
+// A degraded mount defers the free of a file whose last reference goes;
+// the scrub that lifts the mount back to read-write must run that free.
+TEST_F(ScrubTest, RepairingScrubRunsDeferredFrees) {
+  const uint64_t free_before = fs_.free_bytes();
+  auto id = fs_.Create("/doomed", FileFlags{});
+  ASSERT_TRUE(id.ok());
+  ASSERT_TRUE(fs_.Resize(*id, 16 * kPageSize).ok());
+  ASSERT_TRUE(fs_.AddOpenRef(*id).ok());
+  ASSERT_TRUE(fs_.Unlink("/doomed").ok());
+
+  const Paddr journal_line = region_base() + kPageSize + 64;
+  fi().MarkUnreadable(journal_line, /*sticky=*/true);
+  ASSERT_TRUE(fs_.Scrub().ok());
+  ASSERT_EQ(fs_.mount_mode(), MountMode::kDegraded);
+  ASSERT_TRUE(fs_.DropOpenRef(*id).ok());
+  EXPECT_TRUE(fs_.Stat(*id).ok());  // deferred: the blocks are still held
+  EXPECT_EQ(fs_.free_bytes(), free_before - 16 * kPageSize);
+
+  fi().ClearUnreadable(journal_line);
+  auto repaired = fs_.Scrub();
+  ASSERT_TRUE(repaired.ok());
+  EXPECT_FALSE(repaired->degraded);
+  EXPECT_EQ(fs_.Stat(*id).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(fs_.free_bytes(), free_before);
+  EXPECT_TRUE(fs_.VerifyIntegrity().ok());
+}
+
 TEST_F(ScrubTest, TransientJournalPoisonIsHealedInPlace) {
   auto id = fs_.Create("/keep", FileFlags{.persistent = true});
   ASSERT_TRUE(id.ok());

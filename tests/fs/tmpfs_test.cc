@@ -84,14 +84,14 @@ TEST_F(TmpfsTest, BackingAllocatedPerPageOnDemand) {
   auto id = fs_.Create("/lazy", FileFlags{});
   ASSERT_TRUE(id.ok());
   ASSERT_TRUE(fs_.Resize(*id, 8 * kPageSize).ok());
-  auto p0 = fs_.GetOrAllocPage(*id, 0);
-  auto p1 = fs_.GetOrAllocPage(*id, kPageSize);
+  auto p0 = fs_.GetBackingPage(*id, 0, /*for_write=*/false);
+  auto p1 = fs_.GetBackingPage(*id, kPageSize, /*for_write=*/false);
   ASSERT_TRUE(p0.ok());
   ASSERT_TRUE(p1.ok());
   EXPECT_EQ(fs_.Stat(*id)->allocated_bytes, 2 * kPageSize);
   // Idempotent: same page returned.
-  EXPECT_EQ(fs_.GetOrAllocPage(*id, 0).value(), p0.value());
-  EXPECT_FALSE(fs_.GetOrAllocPage(*id, 8 * kPageSize).ok());
+  EXPECT_EQ(fs_.GetBackingPage(*id, 0, /*for_write=*/false).value(), p0.value());
+  EXPECT_FALSE(fs_.GetBackingPage(*id, 8 * kPageSize, /*for_write=*/false).ok());
 }
 
 TEST_F(TmpfsTest, TruncateFreesPages) {
