@@ -3,14 +3,15 @@
 // Recovery cost is the price of the paper's persistence story: after a
 // power cut, PMFS re-reads the superblock, replays the valid journal
 // prefix, rebuilds the block bitmap, and compacts the journal; FOM then
-// revalidates every persistent segment's table sidecar. Scrub() is the
-// online version (plus a full media patrol).
+// drops its table cache and sweeps orphan table sidecars (it reads none: a
+// segment's sidecar is read and checked on its first splice map). Scrub()
+// is the online version (plus a full media patrol).
 //
 // Two sweeps, both on the simulated clock (deterministic):
 //   * journal length -- metadata ops since the last checkpoint; replay is
 //     linear in records, everything else is fixed;
 //   * file count -- live persistent files at crash time; checkpoint
-//     snapshot encoding, bitmap rebuild, and sidecar revalidation are
+//     snapshot encoding, bitmap rebuild, and the orphan-sidecar sweep are
 //     linear in files/extents, not in bytes.
 #include "bench/common.h"
 
@@ -27,7 +28,7 @@ SystemConfig RecoveryConfig() {
 // The legs from a power cut back to a scrubbed mount, on the simulated clock.
 struct RecoveryLegs {
   double replay_us = 0;   // PMFS journal replay + bitmap rebuild
-  double sidecar_us = 0;  // FOM table-sidecar revalidation
+  double sidecar_us = 0;  // FOM table-cache drop + orphan-sidecar sweep
   double scrub_us = 0;    // online scrub (media patrol)
 };
 
@@ -39,7 +40,7 @@ RecoveryLegs CrashAndRecover(System& sys) {
   O1_CHECK(sys.pmfs().OnCrash().ok());
   legs.replay_us = timer.ElapsedUs();
   timer.Restart();
-  O1_CHECK(sys.fom().OnCrash().ok());  // revalidates every table sidecar
+  O1_CHECK(sys.fom().OnCrash().ok());  // sweeps orphan table sidecars
   legs.sidecar_us = timer.ElapsedUs();
   timer.Restart();
   auto report = sys.pmfs().Scrub();
@@ -158,7 +159,7 @@ int main(int argc, char** argv) {
   InitBenchObs(argc, argv);
   RejectUnknownFlags(argc, argv);
 
-  // Recovery is every leg before the scrub: replay and sidecar revalidation.
+  // Recovery is every leg before the scrub: replay and the sidecar sweep.
   auto add_row = [](Table& table, const Row& row) {
     table.AddRow({Table::Int(row.x), Table::Num(row.legs.replay_us + row.legs.sidecar_us),
                   Table::Num(row.legs.scrub_us)});
@@ -174,7 +175,7 @@ int main(int argc, char** argv) {
   json.AddTable(by_journal);
 
   Table by_files("\nAblation: recovery and online scrub latency vs persistent FOM "
-                 "segments (4 KiB each; sidecar revalidation included)");
+                 "segments (4 KiB each; orphan-sidecar sweep included)");
   by_files.AddRow({"files", "recover us", "scrub us"});
   for (uint64_t files : {8ull, 32ull, 128ull, 512ull}) {
     add_row(by_files, MeasureFileCount(files));
@@ -188,7 +189,7 @@ int main(int argc, char** argv) {
                   std::to_string(slo.replay_records) + " journal records, simulated us)");
   slo_table.AddRow({"leg", "us"});
   slo_table.AddRow({"journal replay + bitmap rebuild", Table::Num(slo.legs.replay_us)});
-  slo_table.AddRow({"FOM sidecar revalidation", Table::Num(slo.legs.sidecar_us)});
+  slo_table.AddRow({"FOM orphan-sidecar sweep", Table::Num(slo.legs.sidecar_us)});
   slo_table.AddRow({"online scrub (media patrol)", Table::Num(slo.legs.scrub_us)});
   slo_table.AddRow({"launch + map + first read", Table::Num(slo.to_serving_us)});
   slo_table.Print();

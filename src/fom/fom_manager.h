@@ -168,15 +168,15 @@ class FomManager {
   Result<std::vector<FileExtentView>> PinnedExtents(FomProcess& proc, Vaddr vaddr);
 
   // --- Pressure / crash ----------------------------------------------------
-  // File-granularity reclamation: deletes discardable files. O(files), no
-  // page scanning.
+  // File-granularity reclamation: deletes discardable files and their table
+  // sidecars. O(files), no page scanning.
   Result<uint64_t> HandlePressure(uint64_t bytes_needed);
 
-  // After Machine::Crash + Pmfs::OnCrash: drops table caches for files that
-  // no longer exist; persistent files keep their NVM-resident tables (the
-  // O(1) first-map-after-reboot property). Each surviving sidecar is
-  // checksum-validated against the file's extents; a corrupt or stale one is
-  // transparently rebuilt (and rewritten, unless the mount is degraded).
+  // After Machine::Crash + Pmfs::OnCrash: drops the DRAM-side table cache
+  // and unlinks sidecars whose segment is gone. It reads no sidecar, so its
+  // cost does not grow with segment size: a persistent segment's first use
+  // after the reboot loads its tables from the O(extents) sidecar, or
+  // rebuilds and rewrites them if the sidecar is corrupt or stale.
   Status OnCrash();
 
   // --- Metrics -------------------------------------------------------------
@@ -190,25 +190,15 @@ class FomManager {
   // nullptr to detach.
   void SetMapObserver(FomMapObserver* observer) { observer_ = observer; }
 
-  // The file's pre-created table sets (built or rehydrated on demand). The
+  // The file's pre-created table sets (loaded or built on first use). The
   // tiering engine resplices these canonical nodes when demoting a
   // kPtSplice-mapped window.
   Result<const PrecreatedTables*> Tables(InodeId inode) { return TablesFor(inode); }
 
  private:
+  // The only place that loads, validates, rebuilds and rewrites a
+  // persistent segment's table sidecar.
   Result<const PrecreatedTables*> TablesFor(InodeId inode);
-
-  // --- NVM table sidecars --------------------------------------------------
-  // A persistent segment's pre-created tables are serialized into a
-  // persistent PMFS file ("/.fom/tables/<inode>"): a CRC-protected header
-  // plus one backing paddr per 4 KiB page. After a crash the sidecar is
-  // validated and rehydrated without rebuilding (no per-PTE work); a failed
-  // checksum falls back to a rebuild from the extent tree.
-  static std::string SidecarPath(InodeId inode);
-  // Best-effort: a degraded (read-only) mount simply skips the write.
-  void WriteSidecar(InodeId inode, const PrecreatedTables& tables);
-  Result<PrecreatedTables> LoadSidecar(InodeId inode, uint64_t file_bytes,
-                                       std::span<const FileExtentView> extents);
 
   Result<Vaddr> PickVaddr(FomProcess& proc, uint64_t bytes, const MapOptions& options,
                           MapMechanism mech, InodeId inode);
@@ -224,8 +214,8 @@ class FomManager {
   Pmfs* pmfs_;
   FomConfig config_;
   FomMapObserver* observer_ = nullptr;
-  // Pre-created table cache; for persistent files this models tables stored
-  // in NVM next to the file (they survive OnCrash).
+  // Pre-created table cache, DRAM side. OnCrash clears it; a persistent
+  // file's entry comes back from its NVM sidecar on first use.
   std::unordered_map<InodeId, PrecreatedTables> tables_;
 };
 

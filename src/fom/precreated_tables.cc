@@ -96,15 +96,4 @@ Result<PrecreatedTables> BuildPrecreatedTables(SimContext* ctx, PhysicalMemory* 
   return tables;
 }
 
-Result<PrecreatedTables> RehydratePrecreatedTables(std::span<const FileExtentView> extents,
-                                                   uint64_t file_bytes) {
-  if (file_bytes == 0) {
-    return InvalidArgument("cannot rehydrate tables for an empty file");
-  }
-  if (FirstHole(extents, file_bytes) < file_bytes) {
-    return Corruption("file extents do not cover its size");
-  }
-  return PrecreatedTables(extents, file_bytes);
-}
-
 }  // namespace o1mem

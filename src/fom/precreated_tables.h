@@ -34,8 +34,9 @@ namespace o1mem {
 
 class PrecreatedTables {
  public:
-  // `extents` must cover [0, file_bytes) in file-offset order; the
-  // factories below check that before constructing.
+  // `extents` must cover [0, file_bytes) in file-offset order:
+  // BuildPrecreatedTables checks that, and a persistent segment's sidecar
+  // holds only extents a build has checked.
   PrecreatedTables(std::span<const FileExtentView> extents, uint64_t file_bytes)
       : extents_(extents.begin(), extents.end()), file_bytes_(file_bytes) {}
 
@@ -76,14 +77,6 @@ class PrecreatedTables {
 Result<PrecreatedTables> BuildPrecreatedTables(SimContext* ctx, PhysicalMemory* phys,
                                                std::span<const FileExtentView> extents,
                                                uint64_t file_bytes, bool persist_in_nvm);
-
-// Rehydrates a table set from a validated NVM sidecar whose paddrs agree
-// with `extents`. The nodes already exist in NVM -- nothing is allocated or
-// written in the model's accounting (no pt_node/pte charges), which is
-// precisely the O(1)-after-reboot property; the caller pays only for
-// reading the sidecar.
-Result<PrecreatedTables> RehydratePrecreatedTables(std::span<const FileExtentView> extents,
-                                                   uint64_t file_bytes);
 
 }  // namespace o1mem
 
