@@ -87,7 +87,11 @@ class FileSystem {
   // Deletes discardable files (oldest coarse access time first) until at
   // least `bytes_needed` have been released or none remain. Returns bytes
   // actually released. This is the paper's file-granularity reclamation.
-  virtual Result<uint64_t> ReclaimDiscardable(uint64_t bytes_needed) = 0;
+  // When `freed_persistent` is set, the id of each persistent file whose
+  // storage was released is appended to it, so a caller that keeps per-file
+  // state on the device (FOM table sidecars) can drop exactly that state.
+  virtual Result<uint64_t> ReclaimDiscardable(uint64_t bytes_needed,
+                                              std::vector<InodeId>* freed_persistent = nullptr) = 0;
 
   // Crash notification: volatile state must be dropped; persistent file
   // systems recover their metadata and keep persistent files.

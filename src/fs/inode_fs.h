@@ -122,7 +122,8 @@ class InodeFs : public FileSystem {
 
   // Unlinks discardable files nobody holds open or mapped, oldest atime
   // first (path breaks ties), until `bytes_needed` are released.
-  Result<uint64_t> ReclaimDiscardable(uint64_t bytes_needed) override {
+  Result<uint64_t> ReclaimDiscardable(uint64_t bytes_needed,
+                                      std::vector<InodeId>* freed_persistent = nullptr) override {
     std::vector<std::tuple<uint64_t, std::string, InodeId>> candidates;  // (atime, path, id)
     for (const auto& [path, id] : ns_.AllFiles()) {
       const Inode& inode = inodes_.at(id);
@@ -140,11 +141,15 @@ class InodeFs : public FileSystem {
       // Hard links: only the unlink that drops the last name releases the
       // storage.
       const bool frees_storage = inodes_.at(id).links == 1;
+      const bool persistent = inodes_.at(id).flags.persistent;
       const uint64_t bytes = self().BytesHeld(inodes_.at(id));
       O1_RETURN_IF_ERROR(Unlink(path));
       if (frees_storage) {
         released += bytes;
         machine_->ctx().counters().files_reclaimed++;
+        if (persistent && freed_persistent != nullptr) {
+          freed_persistent->push_back(id);
+        }
       }
     }
     return released;

@@ -819,9 +819,10 @@ Result<std::vector<FileExtentView>> Pmfs::Extents(InodeId id) {
 
 uint64_t Pmfs::free_bytes() const { return bitmap_.free_blocks() << kPageShift; }
 
-Result<uint64_t> Pmfs::ReclaimDiscardable(uint64_t bytes_needed) {
+Result<uint64_t> Pmfs::ReclaimDiscardable(uint64_t bytes_needed,
+                                          std::vector<InodeId>* freed_persistent) {
   O1_RETURN_IF_ERROR(CheckWritable());
-  return InodeFs::ReclaimDiscardable(bytes_needed);
+  return InodeFs::ReclaimDiscardable(bytes_needed, freed_persistent);
 }
 
 Status Pmfs::SetPersistent(InodeId id, bool persistent) {

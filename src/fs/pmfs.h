@@ -149,7 +149,8 @@ class Pmfs : public InodeFs<Pmfs, PmfsInode> {
 
   // Refused with kReadOnly on a degraded mount; quarantined files are never
   // victims.
-  Result<uint64_t> ReclaimDiscardable(uint64_t bytes_needed) override;
+  Result<uint64_t> ReclaimDiscardable(uint64_t bytes_needed,
+                                      std::vector<InodeId>* freed_persistent = nullptr) override;
 
   // Crash recovery: superblock validation + journal replay + volatile-file
   // teardown + bitmap rebuild + journal compaction. Never fails the boot:

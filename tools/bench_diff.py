@@ -27,7 +27,9 @@ attribution cannot vanish without failing the diff. --identical switches to
 determinism mode: the two documents must match
 exactly -- every config entry, metric, and table cell -- except metrics
 prefixed host_ (wall-clock noise), which replaces byte-for-byte `diff` in
-replay-identity CI checks. Stdlib only, so it runs anywhere CI does.
+replay-identity CI checks. --require and --require-table hold in both modes,
+so an --identical check against a regenerated baseline still fails when a
+pinned field is gone from both files. Stdlib only, so it runs anywhere CI does.
 """
 
 import json
@@ -156,6 +158,26 @@ def main(argv):
     with open(paths[1]) as f:
         new_doc = json.load(f)
 
+    new_metrics = new_doc.get("metrics", {})
+    new_tables = table_by_title(new_doc)
+    missing = [m for m in required if as_number(new_metrics.get(m)) is None]
+    new_titles = [t.lower() for t in new_tables]
+    missing_tables = [
+        want for want in required_tables
+        if not any(want.lower() in title for title in new_titles)
+    ]
+
+    def report_missing():
+        if missing:
+            print(f"\n{len(missing)} required metric(s) missing from candidate:")
+            for name in missing:
+                print(f"  {name}")
+        if missing_tables:
+            print(f"\n{len(missing_tables)} required table(s) missing from candidate:")
+            for want in missing_tables:
+                print(f"  (title containing) {want!r}")
+        return bool(missing or missing_tables)
+
     if identical:
         problems = diff_identical(old_doc, new_doc)
         if problems:
@@ -163,9 +185,9 @@ def main(argv):
                   f"(host_* metrics excluded):")
             for p in problems[:50]:
                 print(f"  {p}")
-            return 1
-        print("identical (host_* metrics excluded).")
-        return 0
+        else:
+            print("identical (host_* metrics excluded).")
+        return 1 if report_missing() or problems else 0
 
     if old_doc.get("bench") != new_doc.get("bench"):
         print(
@@ -178,7 +200,6 @@ def main(argv):
     report = [f"bench: {new_doc.get('bench')}  (threshold {threshold:.0%})"]
 
     old_metrics = old_doc.get("metrics", {})
-    new_metrics = new_doc.get("metrics", {})
     for key, old_val in old_metrics.items():
         if key == "tables":
             continue
@@ -196,7 +217,6 @@ def main(argv):
     for key in added:
         report.append(f"  {key}: (new in candidate) = {as_number(new_metrics[key]):g}")
 
-    new_tables = table_by_title(new_doc)
     for title, old_table in table_by_title(old_doc).items():
         new_table = new_tables.get(title)
         if new_table is None:
@@ -218,23 +238,8 @@ def main(argv):
                     compare(f"{label} / {col}", as_number(old_row[i]),
                             as_number(new_row[j]), threshold, regressions, report)
 
-    missing = [m for m in required if as_number(new_metrics.get(m)) is None]
-    new_titles = [t.lower() for t in new_tables]
-    missing_tables = [
-        want for want in required_tables
-        if not any(want.lower() in title for title in new_titles)
-    ]
-
     print("\n".join(report))
-    if missing:
-        print(f"\n{len(missing)} required metric(s) missing from candidate:")
-        for name in missing:
-            print(f"  {name}")
-        return 1
-    if missing_tables:
-        print(f"\n{len(missing_tables)} required table(s) missing from candidate:")
-        for want in missing_tables:
-            print(f"  (title containing) {want!r}")
+    if report_missing():
         return 1
     if regressions:
         print(f"\n{len(regressions)} cost regression(s) above {threshold:.0%}:")
