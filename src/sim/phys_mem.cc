@@ -1,14 +1,75 @@
 #include "src/sim/phys_mem.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
 #include <cstring>
+#include <mutex>
 #include <utility>
 
 #include "src/sim/fault_injector.h"
 
+#if __has_include(<sanitizer/asan_interface.h>)
+#include <sanitizer/asan_interface.h>  // no-op poisoning macros unless built with ASan
+#else
+#define ASAN_POISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#define ASAN_UNPOISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#endif
+
 namespace o1mem {
+
+namespace {
+
+// The process-wide slab recycler behind PhysicalMemory's directory: at most
+// one all-zero slab per node index, kept mapped (and resident where an
+// earlier instance wrote it) so the next instance to use that index takes
+// no host page faults on those frames. Never destroyed, so instances that
+// outlive static destruction can still release into it.
+class SlabRecycler {
+ public:
+  static SlabRecycler& Get() {
+    static SlabRecycler* recycler = new SlabRecycler;
+    return *recycler;
+  }
+
+  // The recycled slab for `node_idx`, or a fresh demand-zero mapping.
+  uint8_t* Take(uint64_t node_idx, uint64_t bytes) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (node_idx < slabs_.size() && slabs_[node_idx] != nullptr) {
+        uint8_t* slab = std::exchange(slabs_[node_idx], nullptr);
+        ASAN_UNPOISON_MEMORY_REGION(slab, bytes);
+        return slab;
+      }
+    }
+    void* fresh = mmap(nullptr, bytes, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    O1_CHECK(fresh != MAP_FAILED);
+    return static_cast<uint8_t*>(fresh);
+  }
+
+  // Takes back an all-zero slab; unmaps it if one is already kept for the index.
+  void Give(uint64_t node_idx, uint8_t* slab, uint64_t bytes) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (node_idx >= slabs_.size()) {
+        slabs_.resize(node_idx + 1);
+      }
+      if (slabs_[node_idx] == nullptr) {
+        ASAN_POISON_MEMORY_REGION(slab, bytes);
+        slabs_[node_idx] = slab;
+        return;
+      }
+    }
+    munmap(slab, bytes);
+  }
+
+ private:
+  std::mutex mu_;
+  std::vector<uint8_t*> slabs_;  // indexed by node index
+};
+
+}  // namespace
 
 PhysicalMemory::PhysicalMemory(SimContext* ctx, uint64_t dram_bytes, uint64_t nvm_bytes,
                                PersistenceModel persistence)
@@ -18,6 +79,14 @@ PhysicalMemory::PhysicalMemory(SimContext* ctx, uint64_t dram_bytes, uint64_t nv
   O1_CHECK(IsAligned(nvm_bytes, kPageSize));
   const uint64_t frames = total_bytes() >> kPageShift;
   dir_.resize((frames + kDirFanout - 1) >> kDirShift);
+}
+
+PhysicalMemory::~PhysicalMemory() {
+  for (uint64_t node_idx = 0; node_idx < dir_.size(); ++node_idx) {
+    if (dir_[node_idx] != nullptr) {
+      ReleaseNode(node_idx);
+    }
+  }
 }
 
 void PhysicalMemory::AttachFaultInjector(FaultInjector* injector) {
@@ -108,18 +177,30 @@ Status PhysicalMemory::FlushLines(Paddr paddr, uint64_t len) {
   return OkStatus();
 }
 
-void PhysicalMemory::SlabFree::operator()(uint8_t* p) const { std::free(p); }
-
 PhysicalMemory::DirNode& PhysicalMemory::EnsureNode(uint64_t node_idx) {
   std::unique_ptr<DirNode>& node = dir_[node_idx];
   if (node == nullptr) {
     node = std::make_unique<DirNode>();
-    // calloc: the host kernel demand-zeroes the slab, so untouched frames
-    // stay non-resident and satisfy the zero-read invariant for free.
-    node->data.reset(static_cast<uint8_t*>(std::calloc(kDirFanout, kPageSize)));
-    O1_CHECK(node->data != nullptr);
+    node->data = SlabRecycler::Get().Take(node_idx, kNodeBytes);
   }
   return *node;
+}
+
+void PhysicalMemory::ReleaseNode(uint64_t node_idx) {
+  std::unique_ptr<DirNode> node = std::move(dir_[node_idx]);
+  // Zero each run of live frames: exactly the pages the host wrote, so
+  // release faults in nothing that was not already resident.
+  for (uint64_t word = 0; word < node->live.size(); ++word) {
+    uint64_t bits = node->live[word];
+    materialized_ -= static_cast<uint64_t>(std::popcount(bits));
+    while (bits != 0) {
+      const auto lo = static_cast<uint64_t>(std::countr_zero(bits));
+      const auto run = static_cast<uint64_t>(std::countr_one(bits >> lo));
+      std::memset(node->data + ((word * 64 + lo) << kPageShift), 0, run << kPageShift);
+      bits &= run == 64 ? 0 : ~(((uint64_t{1} << run) - 1) << lo);
+    }
+  }
+  SlabRecycler::Get().Give(node_idx, node->data, kNodeBytes);
 }
 
 void PhysicalMemory::MaterializeFrames(DirNode& node, uint64_t first, uint64_t count) {
@@ -145,7 +226,7 @@ const uint8_t* PhysicalMemory::FindPage(Paddr paddr) const {
   if ((node->live[in_node >> 6] & (uint64_t{1} << (in_node & 63))) == 0) {
     return nullptr;
   }
-  return node->data.get() + (in_node << kPageShift);
+  return node->data + (in_node << kPageShift);
 }
 
 uint8_t* PhysicalMemory::FindPageMut(Paddr paddr) {
@@ -157,7 +238,7 @@ uint8_t* PhysicalMemory::EnsurePage(Paddr paddr) {
   DirNode& node = EnsureNode(frame >> kDirShift);
   const uint64_t in_node = frame & (kDirFanout - 1);
   MaterializeFrames(node, in_node, 1);
-  return node.data.get() + (in_node << kPageShift);
+  return node.data + (in_node << kPageShift);
 }
 
 void PhysicalMemory::ChargeBulk(Paddr paddr, uint64_t len, bool is_write) {
@@ -201,7 +282,7 @@ Status PhysicalMemory::ReadUncharged(Paddr paddr, std::span<uint8_t> out) {
     if (node == nullptr) {
       std::memset(out.data() + done, 0, run);
     } else {
-      std::memcpy(out.data() + done, node->data.get() + (cur & (kNodeBytes - 1)), run);
+      std::memcpy(out.data() + done, node->data + (cur & (kNodeBytes - 1)), run);
     }
     done += run;
   }
@@ -227,7 +308,7 @@ Status PhysicalMemory::WriteUncharged(Paddr paddr, std::span<const uint8_t> data
     const uint64_t run = std::min<uint64_t>(kNodeBytes - (cur & (kNodeBytes - 1)),
                                             data.size() - done);
     DirNode& node = EnsureNode(cur >> kPageShift >> kDirShift);
-    std::memcpy(node.data.get() + (cur & (kNodeBytes - 1)), data.data() + done, run);
+    std::memcpy(node.data + (cur & (kNodeBytes - 1)), data.data() + done, run);
     const uint64_t first = (cur >> kPageShift) & (kDirFanout - 1);
     const uint64_t last = ((cur + run - 1) >> kPageShift) & (kDirFanout - 1);
     MaterializeFrames(node, first, last - first + 1);
@@ -254,14 +335,12 @@ Status PhysicalMemory::ZeroUncharged(Paddr paddr, uint64_t len) {
   while (done < len) {
     const Paddr cur = paddr + done;
     const uint64_t in_page = std::min<uint64_t>(kPageSize - (cur & (kPageSize - 1)), len - done);
-    // Whole never-materialized pages can stay unmaterialized: they already
-    // read as zero. Partially covered pages materialize (the slab bytes are
-    // already zero by invariant); existing pages are cleared in place.
+    // Never-materialized pages, whole or partly covered, already read as
+    // zero and stay unmaterialized (so `live` keeps meaning host-written);
+    // existing pages are cleared in place.
     uint8_t* page = FindPageMut(cur);
     if (page != nullptr) {
       std::memset(page + (cur & (kPageSize - 1)), 0, in_page);
-    } else if (in_page != kPageSize) {
-      (void)EnsurePage(cur);
     }
     done += in_page;
   }
@@ -350,10 +429,7 @@ void PhysicalMemory::DropVolatile() {
     const uint64_t first = node_idx * kDirFanout;
     if (first + kDirFanout <= dram_frames) {
       // Whole node is DRAM: drop the slab outright (absent node reads zero).
-      for (const uint64_t word : node->live) {
-        materialized_ -= static_cast<uint64_t>(std::popcount(word));
-      }
-      node.reset();
+      ReleaseNode(node_idx);
       continue;
     }
     // Node straddles the DRAM/NVM boundary: re-zero and unmaterialize just
@@ -363,7 +439,7 @@ void PhysicalMemory::DropVolatile() {
       uint64_t& word = node->live[in_node >> 6];
       const uint64_t bit = uint64_t{1} << (in_node & 63);
       if ((word & bit) != 0) {
-        std::memset(node->data.get() + (in_node << kPageShift), 0, kPageSize);
+        std::memset(node->data + (in_node << kPageShift), 0, kPageSize);
         word &= ~bit;
         --materialized_;
       }

@@ -7,7 +7,9 @@
 // Contents are stored sparsely (a 4 KiB host page is materialized on first
 // write), so a simulated machine can expose terabytes while benches only pay
 // for what they touch. Reads of never-written frames return zeros, matching
-// hardware that hands out zeroed lines after an erase.
+// hardware that hands out zeroed lines after an erase. Host memory follows
+// simulated frames across instances: a later PhysicalMemory that writes the
+// same frames reuses the host pages an earlier one wrote (see below).
 //
 // Bulk operations (Zero/Copy/Read/Write) charge the cost model's per-line
 // bulk costs for the tier they touch; single-access costs on the load/store
@@ -55,6 +57,8 @@ class PhysicalMemory {
  public:
   PhysicalMemory(SimContext* ctx, uint64_t dram_bytes, uint64_t nvm_bytes,
                  PersistenceModel persistence = PersistenceModel::kAutoDurable);
+
+  ~PhysicalMemory();
 
   PhysicalMemory(const PhysicalMemory&) = delete;
   PhysicalMemory& operator=(const PhysicalMemory&) = delete;
@@ -124,7 +128,7 @@ class PhysicalMemory {
     if ((node->live[in_node >> 6] & (uint64_t{1} << (in_node & 63))) == 0) {
       return nullptr;
     }
-    return node->data.get() + (paddr & (kNodeBytes - 1));
+    return node->data + (paddr & (kNodeBytes - 1));
   }
 
   // Books the NVM line-write events for a write through a FastSpan pointer.
@@ -192,25 +196,37 @@ class PhysicalMemory {
   // Direct indexing replaces the previous per-page hash map: page lookup is
   // two dereferences with no hashing and no rehash stalls on the simulator's
   // hottest path, and bulk copies run across page boundaries in one memcpy
-  // per node. Slabs come from calloc, so the host kernel demand-zeroes them
-  // and untouched frames cost no resident host memory.
+  // per node.
   //
-  // Invariant: a frame whose `live` bit is clear reads as all-zero bytes in
-  // the slab (calloc at birth; DropVolatile re-zeroes or frees what it
-  // drops). Bulk reads exploit this by copying straight through unwritten
-  // holes.
+  // Slabs come from a process-wide recycler keyed by node index. A node that
+  // dies (the instance is destroyed, or DropVolatile drops a whole DRAM
+  // node) zeroes exactly its live frames and hands its slab back; the next
+  // instance that needs that node index takes it, so simulated frames that a
+  // previous instance wrote cost no host page faults and no new resident
+  // memory. A node index with no recycled slab gets a fresh anonymous
+  // mapping, which the host kernel demand-zeroes, so untouched frames cost
+  // no resident host memory. The recycler keeps at most one slab per index.
+  // Under AddressSanitizer a recycled slab stays poisoned until it is taken
+  // again, so reads through a dead instance's frames are still reported.
+  //
+  // Invariants: a frame whose `live` bit is clear reads as all-zero bytes in
+  // the slab (zero at birth; DropVolatile re-zeroes or drops what it drops),
+  // and every frame the host ever wrote is live (nothing materializes a
+  // frame without writing it), so zeroing the live frames on release touches
+  // no page the host has not already faulted in. Bulk reads exploit the
+  // first invariant by copying straight through unwritten holes.
   static constexpr uint64_t kDirShift = 9;  // 512 frames (2 MiB) per node
   static constexpr uint64_t kDirFanout = 1ull << kDirShift;
   static constexpr uint64_t kNodeBytes = kDirFanout << kPageShift;
-  struct SlabFree {
-    void operator()(uint8_t* p) const;
-  };
   struct DirNode {
-    std::unique_ptr<uint8_t[], SlabFree> data;     // kNodeBytes, kernel-zeroed
+    uint8_t* data = nullptr;                       // kNodeBytes, zero where not live
     std::array<uint64_t, kDirFanout / 64> live{};  // frame materialization bits
   };
 
   DirNode& EnsureNode(uint64_t node_idx);
+  // Zeroes the node's live frames, returns its slab to the recycler and
+  // drops the node.
+  void ReleaseNode(uint64_t node_idx);
   // Marks `count` frames starting at node-relative frame `first` live.
   void MaterializeFrames(DirNode& node, uint64_t first, uint64_t count);
 

@@ -3,9 +3,28 @@
 #include "src/obs/span.h"
 
 #include <cstdlib>
+#include <span>
 #include <string>
+#include <vector>
 
 namespace o1mem {
+
+namespace {
+
+// Host staging for writeback copies: the first `bytes` of one buffer per
+// thread, grown to fit and never shrunk (so at most the largest extent ever
+// written back, itself bounded by the DRAM cache). It outlives each engine,
+// so a later System's writebacks fault in no host pages. Holds no simulated
+// state.
+std::span<uint8_t> WritebackBuffer(uint64_t bytes) {
+  thread_local std::vector<uint8_t> buf;
+  if (buf.size() < bytes) {
+    buf.resize(bytes);
+  }
+  return std::span<uint8_t>(buf.data(), bytes);
+}
+
+}  // namespace
 
 MigrationEngine::MigrationEngine(Machine* machine, PhysManager* phys_mgr, Pmfs* pmfs,
                                  FomManager* fom)
@@ -245,7 +264,7 @@ Status MigrationEngine::DirectWriteBack(PromotedExtent& e, std::span<const uint8
 
 Status MigrationEngine::WriteBack(InodeId inode, PromotedExtent& e) {
   ObsSpan span(ctx(), TraceKind::kTierWriteback, e.bytes);
-  std::vector<uint8_t> buf(e.bytes);
+  const std::span<uint8_t> buf = WritebackBuffer(e.bytes);
   O1_RETURN_IF_ERROR(machine_->phys().Read(e.cache, buf));
   if (pmfs_->mount_mode() == MountMode::kDegraded) {
     // No journal to publish through; fall back to the in-place copy (not
