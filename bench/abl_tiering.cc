@@ -17,24 +17,6 @@ namespace {
 
 constexpr uint64_t kZipfSeed = 0x7a69ull;
 
-TierConfig BenchTier(uint64_t cache_bytes) {
-  TierConfig t;
-  t.enabled = true;
-  t.dram_cache_bytes = cache_bytes;
-  // Long aggregation windows (8 samples) so nr_accesses can spread 0..8:
-  // hot regions then differ from lukewarm neighbours by more than the
-  // merge tolerance and survive as distinct regions (DAMON uses ~20
-  // samples per window for the same reason).
-  t.aggregation_ticks = 8;
-  t.min_region_bytes = 64 * kPageSize;  // 256 KiB
-  t.min_regions = 16;
-  t.max_regions = 64;
-  t.hot_threshold = 2;
-  t.promote_after = 1;
-  t.demote_after = 8;
-  return t;
-}
-
 uint64_t ConvergenceBytes() { return BenchSmall() ? 64 * kMiB : 256 * kMiB; }
 
 // --- Table A: convergence under zipf traffic -----------------------------

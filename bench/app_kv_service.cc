@@ -154,17 +154,7 @@ Phase RunBaseline(int workers) {
 Phase RunFom(int workers, bool tier) {
   SystemConfig config = WorkerConfig(workers);
   config.pmfs_zero_policy = ZeroPolicy::kZeroEpoch;
-  if (tier) {
-    config.machine.tier.enabled = true;
-    config.machine.tier.dram_cache_bytes = 32 * kMiB;
-    config.machine.tier.aggregation_ticks = 8;
-    config.machine.tier.min_region_bytes = 64 * kPageSize;
-    config.machine.tier.min_regions = 16;
-    config.machine.tier.max_regions = 64;
-    config.machine.tier.hot_threshold = 2;
-    config.machine.tier.promote_after = 1;
-    config.machine.tier.demote_after = 8;
-  }
+  if (tier) config.machine.tier = BenchTier(32 * kMiB);
   System sys(config);
   Phase phase;
   // State segment exists from a previous life.
@@ -274,17 +264,7 @@ struct ChaosMetrics {
 ChaosMetrics RunChaosService(int shards, const std::string& campaign_spec,
                              const std::string& arrival_spec, uint64_t seed, bool tier) {
   SystemConfig config = WorkerConfig(shards);
-  if (tier) {
-    config.machine.tier.enabled = true;
-    config.machine.tier.dram_cache_bytes = 32 * kMiB;
-    config.machine.tier.aggregation_ticks = 8;
-    config.machine.tier.min_region_bytes = 64 * kPageSize;
-    config.machine.tier.min_regions = 16;
-    config.machine.tier.max_regions = 64;
-    config.machine.tier.hot_threshold = 2;
-    config.machine.tier.promote_after = 1;
-    config.machine.tier.demote_after = 8;
-  }
+  if (tier) config.machine.tier = BenchTier(32 * kMiB);
   config.pmfs_zero_policy = ZeroPolicy::kZeroEpoch;
   System sys(config);
 

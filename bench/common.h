@@ -139,6 +139,25 @@ inline SystemConfig BenchConfig() {
   return config;
 }
 
+// The benches' tier shape: a DRAM file cache of `cache_bytes` over the NVM
+// home. Long aggregation windows (8 samples) so nr_accesses can spread
+// 0..8: hot regions then differ from lukewarm neighbours by more than the
+// merge tolerance and survive as distinct regions (DAMON uses ~20 samples
+// per window for the same reason).
+inline TierConfig BenchTier(uint64_t cache_bytes) {
+  TierConfig t;
+  t.enabled = true;
+  t.dram_cache_bytes = cache_bytes;
+  t.aggregation_ticks = 8;
+  t.min_region_bytes = 64 * kPageSize;  // 256 KiB
+  t.min_regions = 16;
+  t.max_regions = 64;
+  t.hot_threshold = 2;
+  t.promote_after = 1;
+  t.demote_after = 8;
+  return t;
+}
+
 // The paper's file-size sweep (Figures 1/6 use 4 KB - 1 MB; we extend to
 // 1 GiB to show where the trends go at "big memory" scale).
 inline std::vector<uint64_t> FileSizeSweep() {

@@ -35,25 +35,27 @@ FomProcess& Process::fom() {
 
 System::System(const SystemConfig& config) : config_(config) {
   machine_ = std::make_unique<Machine>(config.machine);
-  phys_mgr_ = std::make_unique<PhysManager>(machine_.get());
-  swap_ = std::make_unique<SwapDevice>(&machine_->ctx(), &machine_->phys(), config.swap_pages);
-  const uint64_t tmpfs_quota =
-      config.tmpfs_quota_bytes != 0 ? config.tmpfs_quota_bytes : config.machine.dram_bytes / 2;
-  tmpfs_ = std::make_unique<Tmpfs>(machine_.get(), phys_mgr_.get(), tmpfs_quota);
   pmfs_ = std::make_unique<Pmfs>(machine_.get(), machine_->phys().nvm_base(),
                                  config.machine.nvm_bytes, config.pmfs_zero_policy);
   fom_ = std::make_unique<FomManager>(machine_.get(), pmfs_.get(), config.fom);
-  if (config.machine.tier.enabled) {
-    tier_ = std::make_unique<TierEngine>(machine_.get(), phys_mgr_.get(), pmfs_.get(),
-                                         fom_.get());
-    fom_->SetMapObserver(tier_.get());
-  }
-  WireContigLenders();
+  BootDram();
 }
 
 System::~System() = default;
 
-void System::WireContigLenders() {
+void System::BootDram() {
+  // Note the struct-page array initialization is linear in DRAM size -- one
+  // of the linear costs Sec. 2 calls out -- and a reboot pays it again.
+  phys_mgr_ = std::make_unique<PhysManager>(machine_.get());
+  swap_ = std::make_unique<SwapDevice>(&machine_->ctx(), &machine_->phys(), config_.swap_pages);
+  const uint64_t tmpfs_quota = config_.tmpfs_quota_bytes != 0 ? config_.tmpfs_quota_bytes
+                                                              : config_.machine.dram_bytes / 2;
+  tmpfs_ = std::make_unique<Tmpfs>(machine_.get(), phys_mgr_.get(), tmpfs_quota);
+  if (config_.machine.tier.enabled) {
+    tier_ = std::make_unique<TierEngine>(machine_.get(), phys_mgr_.get(), pmfs_.get(),
+                                         fom_.get());
+    fom_->SetMapObserver(tier_.get());
+  }
   ContigAllocator* contig = phys_mgr_->contig();
   if (contig == nullptr) {
     return;
@@ -764,25 +766,13 @@ Status System::Crash() {
   O1_RETURN_IF_ERROR(tmpfs_->OnCrash());
   O1_RETURN_IF_ERROR(pmfs_->OnCrash());
   O1_RETURN_IF_ERROR(fom_->OnCrash());
-  // Kernel reboot: the DRAM-side structures are rebuilt from scratch. Note
-  // the struct-page array re-initialization is linear in DRAM size -- one of
-  // the linear costs Sec. 2 calls out.
-  phys_mgr_ = std::make_unique<PhysManager>(machine_.get());
-  swap_ = std::make_unique<SwapDevice>(&machine_->ctx(), &machine_->phys(), config_.swap_pages);
-  const uint64_t tmpfs_quota = config_.tmpfs_quota_bytes != 0 ? config_.tmpfs_quota_bytes
-                                                              : config_.machine.dram_bytes / 2;
-  tmpfs_ = std::make_unique<Tmpfs>(machine_.get(), phys_mgr_.get(), tmpfs_quota);
-  if (config_.machine.tier.enabled) {
-    tier_ = std::make_unique<TierEngine>(machine_.get(), phys_mgr_.get(), pmfs_.get(),
-                                         fom_.get());
-    fom_->SetMapObserver(tier_.get());
+  // Kernel reboot: the DRAM-side structures are rebuilt from scratch.
+  BootDram();
+  if (tier_ != nullptr) {
     // Finish committed writebacks that the crash interrupted; discard
     // uncommitted staging files.
     O1_RETURN_IF_ERROR(tier_->Recover());
   }
-  // The rebuilt PhysManager carved a fresh (empty) contiguous area; rewire
-  // its revoke callbacks at the rebuilt lenders.
-  WireContigLenders();
   return OkStatus();
 }
 

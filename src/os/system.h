@@ -246,10 +246,11 @@ class System {
   Result<Vaddr> MmapBaseline(Process& proc, const MmapArgs& args);
   Result<Vaddr> MmapFom(Process& proc, const MmapArgs& args);
   void ChargeSyscall();
-  // Registers the per-lender-class revoke callbacks on the ContigAllocator
-  // (no-op when contig is disabled). Runs at boot and again after Crash(),
-  // once the lender subsystems have been rebuilt.
-  void WireContigLenders();
+  // Builds the DRAM side of the kernel over the existing PMFS and FOM:
+  // PhysManager, swap, tmpfs, the tier engine (when enabled) and the
+  // contig area's per-lender-class revoke callbacks. Runs at boot and again
+  // after Crash(), when all of it has evaporated with DRAM.
+  void BootDram();
 
   SystemConfig config_;
   std::unique_ptr<Machine> machine_;

@@ -1,10 +1,9 @@
 #!/usr/bin/env python3
-"""Compare two BENCH_<name>.json files produced by bench/run_all.sh.
+"""Compare BENCH_<name>.json files produced by bench/run_all.sh.
 
 Usage:
-    tools/bench_diff.py BASELINE.json CANDIDATE.json [--threshold=0.10]
-                        [--require=metric1,metric2,...]
-                        [--require-table=substr1,substr2,...] [--identical]
+    tools/bench_diff.py BASELINE.json CANDIDATE.json [--threshold=0.10] [--identical]
+    tools/bench_diff.py BASELINE_DIR CANDIDATE_DIR [--threshold=0.10] [--identical]
 
 Prints a per-metric / per-table-cell diff and exits nonzero when any *cost*
 series (simulated cycles or time: column or metric names containing "cycles",
@@ -17,24 +16,31 @@ when means stay flat. Host-throughput fields are gated through their
 host_ns_per_op_* form (lower is better), so a bench whose host loop got >10%
 slower fails the diff; the companion host_ops_per_sec_* fields are
 informational. Non-cost series (hit rates, byte gauges, ratios) are printed
-for context but never fail the diff. --require=a,b,c additionally fails the
-diff when any of the named metrics is missing from the candidate -- CI uses
-it to pin the chaos-campaign SLO fields so a refactor cannot silently drop
-them. --require-table=a,b does the same for tables: the candidate must hold
-a table whose title contains each given substring (case-insensitive) -- CI
-pins the tail-blame table of the serving benches this way, so the p999
-attribution cannot vanish without failing the diff. --identical switches to
-determinism mode: the two documents must match
+for context but never fail the diff.
+
+--identical switches to determinism mode: the two documents must match
 exactly -- every config entry, metric, and table cell -- except metrics
-prefixed host_ (wall-clock noise), which replaces byte-for-byte `diff` in
-replay-identity CI checks. --require and --require-table hold in both modes,
-so an --identical check against a regenerated baseline still fails when a
-pinned field is gone from both files. Stdlib only, so it runs anywhere CI does.
+prefixed host_ (wall-clock noise). CI runs it in directory form against the
+committed reference run, bench/baseline/: every BENCH_*.json there needs a
+fresh counterpart in CANDIDATE_DIR and every fresh BENCH_*.json needs a
+baseline, so an output can neither vanish nor appear unpinned.
+
+Pinned fields: pinned.json beside the baseline file(s) (bench/baseline/
+pinned.json for the reference run) maps a file name to the "metrics" it must
+report and the "tables" it must hold (a title containing each string,
+case-insensitive). The pins hold in both modes and are checked in the
+baseline and the candidate alike, so a regenerated baseline that drops a
+pinned SLO field still fails, and a pin naming a file the baseline directory
+lacks fails the directory form. Stdlib only, so it runs anywhere CI does.
 """
 
+import glob
 import json
+import os
 import re
 import sys
+
+PINS_FILE = "pinned.json"
 
 COST_PATTERN = re.compile(
     r"(cycles|c/op|\bus\b|\bns\b|(?:^|_)us(?:_|$)|(?:^|_)ns(?:_|$)|time|\bp\d+\b)",
@@ -132,63 +138,29 @@ def diff_identical(old_doc, new_doc):
     return problems
 
 
-def main(argv):
-    threshold = 0.10
-    required = []
-    required_tables = []
-    identical = False
-    paths = []
-    for arg in argv[1:]:
-        if arg.startswith("--threshold="):
-            threshold = float(arg.split("=", 1)[1])
-        elif arg.startswith("--require="):
-            required = [m for m in arg.split("=", 1)[1].split(",") if m]
-        elif arg.startswith("--require-table="):
-            required_tables = [t for t in arg.split("=", 1)[1].split(",") if t]
-        elif arg == "--identical":
-            identical = True
-        else:
-            paths.append(arg)
-    if len(paths) != 2:
-        print(__doc__.strip(), file=sys.stderr)
-        return 2
+def load_pins(baseline_dir):
+    """The pin list beside the baseline ({} when there is none)."""
+    path = os.path.join(baseline_dir, PINS_FILE)
+    if not os.path.exists(path):
+        return {}
+    with open(path) as f:
+        return json.load(f)
 
-    with open(paths[0]) as f:
-        old_doc = json.load(f)
-    with open(paths[1]) as f:
-        new_doc = json.load(f)
 
-    new_metrics = new_doc.get("metrics", {})
-    new_tables = table_by_title(new_doc)
-    missing = [m for m in required if as_number(new_metrics.get(m)) is None]
-    new_titles = [t.lower() for t in new_tables]
-    missing_tables = [
-        want for want in required_tables
-        if not any(want.lower() in title for title in new_titles)
+def missing_pins(doc, pin):
+    """Pinned metrics and table-title substrings that `doc` lacks."""
+    metrics = doc.get("metrics", {})
+    titles = [t.lower() for t in table_by_title(doc)]
+    missing = [m for m in pin.get("metrics", []) if as_number(metrics.get(m)) is None]
+    missing += [
+        f"table titled *{want}*" for want in pin.get("tables", [])
+        if not any(want.lower() in title for title in titles)
     ]
+    return missing
 
-    def report_missing():
-        if missing:
-            print(f"\n{len(missing)} required metric(s) missing from candidate:")
-            for name in missing:
-                print(f"  {name}")
-        if missing_tables:
-            print(f"\n{len(missing_tables)} required table(s) missing from candidate:")
-            for want in missing_tables:
-                print(f"  (title containing) {want!r}")
-        return bool(missing or missing_tables)
 
-    if identical:
-        problems = diff_identical(old_doc, new_doc)
-        if problems:
-            print(f"{len(problems)} determinism mismatch(es) "
-                  f"(host_* metrics excluded):")
-            for p in problems[:50]:
-                print(f"  {p}")
-        else:
-            print("identical (host_* metrics excluded).")
-        return 1 if report_missing() or problems else 0
-
+def diff_regression(old_doc, new_doc, threshold):
+    """Cost-regression report; returns (report lines, regressions)."""
     if old_doc.get("bench") != new_doc.get("bench"):
         print(
             f"warning: comparing different benches "
@@ -200,6 +172,7 @@ def main(argv):
     report = [f"bench: {new_doc.get('bench')}  (threshold {threshold:.0%})"]
 
     old_metrics = old_doc.get("metrics", {})
+    new_metrics = new_doc.get("metrics", {})
     for key, old_val in old_metrics.items():
         if key == "tables":
             continue
@@ -217,6 +190,7 @@ def main(argv):
     for key in added:
         report.append(f"  {key}: (new in candidate) = {as_number(new_metrics[key]):g}")
 
+    new_tables = table_by_title(new_doc)
     for title, old_table in table_by_title(old_doc).items():
         new_table = new_tables.get(title)
         if new_table is None:
@@ -237,17 +211,94 @@ def main(argv):
                 if i < len(old_row) and j < len(new_row):
                     compare(f"{label} / {col}", as_number(old_row[i]),
                             as_number(new_row[j]), threshold, regressions, report)
+    return report, regressions
 
-    print("\n".join(report))
-    if report_missing():
-        return 1
-    if regressions:
-        print(f"\n{len(regressions)} cost regression(s) above {threshold:.0%}:")
-        for name, old, new, delta in regressions:
-            print(f"  {name}: {old:g} -> {new:g} ({delta:+.1%})")
-        return 1
-    print("\nno cost regressions.")
-    return 0
+
+def diff_files(old_path, new_path, pin, threshold, identical):
+    """Diffs one baseline/candidate pair and prints the verdict; returns
+    True when it passes."""
+    with open(old_path) as f:
+        old_doc = json.load(f)
+    with open(new_path) as f:
+        new_doc = json.load(f)
+    ok = True
+    if identical:
+        problems = diff_identical(old_doc, new_doc)
+        if problems:
+            print(f"{len(problems)} determinism mismatch(es) "
+                  f"(host_* metrics excluded):")
+            for p in problems[:50]:
+                print(f"  {p}")
+            ok = False
+        else:
+            print("identical (host_* metrics excluded).")
+    else:
+        report, regressions = diff_regression(old_doc, new_doc, threshold)
+        print("\n".join(report))
+        if regressions:
+            print(f"\n{len(regressions)} cost regression(s) above {threshold:.0%}:")
+            for name, old, new, delta in regressions:
+                print(f"  {name}: {old:g} -> {new:g} ({delta:+.1%})")
+            ok = False
+        else:
+            print("\nno cost regressions.")
+    for side, doc in (("baseline", old_doc), ("candidate", new_doc)):
+        missing = missing_pins(doc, pin)
+        if missing:
+            print(f"{len(missing)} pinned field(s) missing from the {side}:")
+            for name in missing:
+                print(f"  {name}")
+            ok = False
+    return ok
+
+
+def diff_dirs(old_dir, new_dir, threshold, identical):
+    """Diffs every BENCH_*.json pair of two directories; a file on one side
+    only, or a pin for a file the baseline lacks, fails."""
+    def names(d):
+        return {os.path.basename(p) for p in glob.glob(os.path.join(d, "BENCH_*.json"))}
+
+    pins = load_pins(old_dir)
+    old_names, new_names = names(old_dir), names(new_dir)
+    failures = [f"{n}: no fresh counterpart in {new_dir}" for n in sorted(old_names - new_names)]
+    failures += [f"{n}: no baseline in {old_dir}" for n in sorted(new_names - old_names)]
+    failures += [f"{n}: pinned but not in {old_dir}" for n in sorted(pins.keys() - old_names)]
+    for name in sorted(old_names & new_names):
+        print(f"=== {name} ===")
+        if not diff_files(os.path.join(old_dir, name), os.path.join(new_dir, name),
+                          pins.get(name, {}), threshold, identical):
+            failures.append(f"{name}: fails (see above)")
+    if failures:
+        print(f"\n{len(failures)} failure(s):")
+        for f in failures:
+            print(f"  {f}")
+        return False
+    print(f"\nall {len(old_names)} file(s) pass.")
+    return True
+
+
+def main(argv):
+    threshold = 0.10
+    identical = False
+    paths = []
+    for arg in argv[1:]:
+        if arg.startswith("--threshold="):
+            threshold = float(arg.split("=", 1)[1])
+        elif arg == "--identical":
+            identical = True
+        else:
+            paths.append(arg)
+    if len(paths) != 2:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    old, new = paths
+    if os.path.isdir(old) != os.path.isdir(new):
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    if os.path.isdir(old):
+        return 0 if diff_dirs(old, new, threshold, identical) else 1
+    pin = load_pins(os.path.dirname(old) or ".").get(os.path.basename(old), {})
+    return 0 if diff_files(old, new, pin, threshold, identical) else 1
 
 
 if __name__ == "__main__":
